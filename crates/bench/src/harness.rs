@@ -8,7 +8,7 @@
 //! solvers report through — instead of a bespoke timing layer, and
 //! [`check_regression`] gates CI on it.
 //!
-//! Groups match the Criterion benchmark of the same name:
+//! Groups:
 //! * `serial-loop` — `NetworkModel::evaluate` per scenario, no sharing;
 //! * `cold/{workers}` — a fresh engine per iteration;
 //! * `warm/{workers}` — a pre-warmed engine (pure cache traffic);
@@ -128,7 +128,7 @@ pub fn engine_fleet() -> Vec<Arc<NetworkModel>> {
 
 /// The serial baseline produces a bare `NetworkEvaluation`, so the
 /// engine scenarios request exactly that (no per-path extraction).
-pub fn evaluation_only() -> MeasureSet {
+fn evaluation_only() -> MeasureSet {
     MeasureSet {
         reachability: false,
         expected_delay: false,
@@ -141,7 +141,7 @@ pub fn evaluation_only() -> MeasureSet {
 
 /// Submits every fleet model as an evaluation-only scenario (a cheap
 /// `Arc` clone per submission).
-pub fn submit_fleet(engine: &mut Engine, models: &[Arc<NetworkModel>]) {
+fn submit_fleet(engine: &mut Engine, models: &[Arc<NetworkModel>]) {
     for (i, model) in models.iter().enumerate() {
         engine.submit(
             Scenario::network(format!("s{i}"), Arc::clone(model)).with_measures(evaluation_only()),

@@ -4,8 +4,8 @@ use crate::spec::NetworkSpec;
 use std::sync::Arc;
 use whart_json::Json;
 use whart_model::{
-    compose, explain_path, explicit::explicit_chain, DelayConvention, ExplicitSolver, FastSolver,
-    MeasurePlan, Solver, UtilizationConvention,
+    compose, explain_path, explicit::explicit_chain, solve_network_with, DelayConvention,
+    ExplicitSolver, FastSolver, MeasurePlan, Solver, UtilizationConvention,
 };
 use whart_obs::Metrics;
 use whart_prof::Profiler;
@@ -162,10 +162,14 @@ pub fn analyze(
     let eval = {
         let _analyze = profiler.enter(profiler.frame("cli.analyze"));
         let _solve = profiler.enter(solve_frame);
-        backend
-            .solver()
-            .solve_network_traced(&problem, MeasurePlan::default(), &metrics, &trace)
-            .map_err(|e| e.to_string())?
+        solve_network_with(
+            backend.solver().as_ref(),
+            &problem,
+            MeasurePlan::default(),
+            &metrics,
+            &trace,
+        )
+        .map_err(|e| e.to_string())?
     };
     let mut appended = String::new();
     if let Some(path) = metrics_path {
@@ -363,9 +367,8 @@ pub fn explain(spec: &NetworkSpec, path_index: usize, backend: &Backend) -> Resu
     }
 
     if let Backend::Sim { seed, intervals } = *backend {
-        let solver = MonteCarloSolver::new(seed, intervals);
-        let sim = solver
-            .solve_path_observed(&problem, MeasurePlan::SCALAR, &Metrics::disabled())
+        let sim = MonteCarloSolver::new(seed, intervals)
+            .solve_path(&problem, MeasurePlan::SCALAR)
             .map_err(|e| e.to_string())?;
         out.push_str(&format!(
             "\nsim cross-check (seed {seed}, {intervals} intervals)\n"

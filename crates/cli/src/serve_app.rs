@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use whart_engine::{Engine, MeasureSet, Scenario, ScenarioResult};
 use whart_log::{Level, Logger};
-use whart_model::{MeasurePlan, NetworkModel};
+use whart_model::{solve_network_with, MeasurePlan, NetworkModel};
 use whart_obs::prometheus::{self, DerivedGauge};
 use whart_obs::Metrics;
 use whart_prof::{Frame, Profiler, ResourceSampler};
@@ -406,10 +406,14 @@ fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
                 .trace
                 .context_scope([("request_id", request_id.as_str().into())]);
             let problem = model.compile().map_err(|e| e.to_string())?;
-            let eval = backend
-                .solver()
-                .solve_network_traced(&problem, MeasurePlan::default(), &app.metrics, &app.trace)
-                .map_err(|e| e.to_string())?;
+            let eval = solve_network_with(
+                backend.solver().as_ref(),
+                &problem,
+                MeasurePlan::default(),
+                &app.metrics,
+                &app.trace,
+            )
+            .map_err(|e| e.to_string())?;
             let paths = eval.reports().len();
             (render_analyze(json, &backend, &eval), paths, 0)
         }

@@ -419,6 +419,18 @@ fn error_paths_answer_with_client_errors() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_client_error_not_a_crash() {
+    let serve = spawn_serve(&[]);
+    await_ready(&serve.addr);
+    // Deep enough to overflow a worker stack in a recursive parser.
+    let (status, body) = http(&serve.addr, "POST", "/v1/analyze", &"[".repeat(20_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let (status, _) = http(&serve.addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "the server survives the request");
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_work_and_writes_final_artifacts() {
     let dir = std::env::temp_dir().join("whart-serve-shutdown-test");
     std::fs::create_dir_all(&dir).unwrap();

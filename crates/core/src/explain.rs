@@ -18,12 +18,12 @@
 //! delay contributions sum to `E[delay | delivered]`, so the breakdown
 //! is a true decomposition, not an approximation.
 
-use whart_channel::{ber_from_failure_probability, Modulation, WIRELESSHART_MESSAGE_BITS};
+use whart_channel::Modulation;
 use whart_net::NodeId;
 
-use crate::ir::{MeasurePlan, PathProblem};
+use crate::ir::{implied_ber, MeasurePlan, PathProblem};
 use crate::measures::DelayConvention;
-use crate::path::{fast_evaluate_observed, PathEvaluation, StepEvent};
+use crate::path::{fast_evaluate_observed, HopTally, PathEvaluation};
 
 /// One hop's share of the path's behaviour: channel provenance plus
 /// the solve-derived attempt/failure/loss statistics.
@@ -130,21 +130,9 @@ impl PathExplanation {
 /// Evaluates `problem` with the fast solver and decomposes the result
 /// per hop and per delivery cycle.
 pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> PathExplanation {
-    let n = problem.hop_count();
-    let mut attempts = vec![0.0f64; n];
-    let mut failures = vec![0.0f64; n];
-    let mut loss = vec![0.0f64; n];
+    let mut tally = HopTally::new(problem.hop_count());
     let (evaluation, _steps) =
-        fast_evaluate_observed(problem, MeasurePlan::SCALAR, |event| match event {
-            StepEvent::Transmission {
-                hop, mass, moved, ..
-            } => {
-                attempts[hop] += mass;
-                failures[hop] += mass - moved;
-            }
-            StepEvent::CycleEnd { .. } => {}
-            StepEvent::Discard { in_flight, .. } => loss.copy_from_slice(in_flight),
-        });
+        fast_evaluate_observed(problem, MeasurePlan::SCALAR, |event| tally.record(&event));
 
     let hops = problem
         .hops()
@@ -152,11 +140,7 @@ pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> PathE
         .enumerate()
         .map(|(hop, h)| {
             let model = h.dynamics().model();
-            let ber = if model.p_fl() < 1.0 {
-                ber_from_failure_probability(model.p_fl(), WIRELESSHART_MESSAGE_BITS)
-            } else {
-                1.0
-            };
+            let ber = implied_ber(h);
             HopBreakdown {
                 hop,
                 link: h.link(),
@@ -168,9 +152,9 @@ pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> PathE
                 ber,
                 snr: Modulation::Oqpsk.required_snr(ber).map(|e| e.linear()),
                 outages: h.dynamics().outages().len(),
-                expected_attempts: attempts[hop],
-                expected_failures: failures[hop],
-                loss_mass: loss[hop],
+                expected_attempts: tally.attempts[hop],
+                expected_failures: tally.failures[hop],
+                loss_mass: tally.loss[hop],
             }
         })
         .collect();
@@ -205,9 +189,8 @@ mod tests {
     use super::*;
     use crate::ir::{FastSolver, Solver};
     use crate::sweeps::section_v_model;
-    use whart_channel::LinkModel;
+    use whart_channel::{LinkModel, WIRELESSHART_MESSAGE_BITS};
     use whart_net::ReportingInterval;
-    use whart_obs::Metrics;
 
     fn problem(availability: f64) -> PathProblem {
         section_v_model(availability, ReportingInterval::REGULAR)
@@ -235,7 +218,7 @@ mod tests {
         let problem = problem(0.83);
         let ex = explain_path(&problem, DelayConvention::Absolute);
         let baseline = FastSolver
-            .solve_path_observed(&problem, MeasurePlan::SCALAR, &Metrics::disabled())
+            .solve_path(&problem, MeasurePlan::SCALAR)
             .unwrap();
         assert_eq!(
             ex.evaluation().cycle_probabilities().as_slice(),

@@ -31,7 +31,7 @@ use crate::error::Result;
 use crate::explicit::explicit_chain_of;
 use crate::network::{NetworkEvaluation, PathReport};
 use crate::path::{
-    fast_evaluate_counted, fast_evaluate_observed, PathEvaluation, PathModel, StepEvent,
+    fast_evaluate_counted, fast_evaluate_observed, HopTally, PathEvaluation, PathModel, StepEvent,
 };
 use crate::signature::PathSignature;
 use std::sync::Arc;
@@ -307,6 +307,38 @@ impl NetworkProblem {
     }
 }
 
+/// The instrumentation a solve reports into, plus the solved path's
+/// position in its network.
+///
+/// With both handles disabled a solve behaves exactly like an
+/// uninstrumented one: bit-identical results, no clock reads.
+#[derive(Clone, Copy)]
+pub struct SolveContext<'a> {
+    /// Metrics sink: every backend times the solve into the
+    /// `solver.<name>.solve_ns` histogram, plus backend-specific work
+    /// counters (transient steps, chain sizes, Monte-Carlo draws).
+    pub metrics: &'a Metrics,
+    /// Provenance journal: a `path_solve` span per solve plus
+    /// backend-specific events (per-hop link provenance, per-cycle
+    /// transition mass, chain sizes, Monte-Carlo seeds).
+    pub trace: &'a Trace,
+    /// The path's 0-based index in its network (0 for a lone path).
+    /// Monte-Carlo derives its per-path seed stream from it; the
+    /// analytical backends ignore it.
+    pub index: u64,
+}
+
+impl<'a> SolveContext<'a> {
+    /// A context for the path at index 0.
+    pub fn new(metrics: &'a Metrics, trace: &'a Trace) -> SolveContext<'a> {
+        SolveContext {
+            metrics,
+            trace,
+            index: 0,
+        }
+    }
+}
+
 /// A solver backend: anything that can turn a compiled [`PathProblem`]
 /// into a [`PathEvaluation`].
 ///
@@ -316,6 +348,10 @@ impl NetworkProblem {
 /// consume the identical compiled problem, so link overrides and failure
 /// injections are cross-validated structurally rather than by hand-wired
 /// re-derivation.
+///
+/// Backends implement [`Solver::solve`] only; [`Solver::solve_path`] and
+/// [`Solver::solve_network`] are uninstrumented conveniences over it,
+/// and [`solve_network_with`] is the instrumented network solve.
 pub trait Solver: Send + Sync {
     /// A short stable name for logs, CLI output and metric names.
     fn name(&self) -> &'static str;
@@ -336,86 +372,33 @@ pub trait Solver: Send + Sync {
         false
     }
 
-    /// Solves one compiled path problem, recording backend
-    /// observability into `obs`: every backend times the solve into the
-    /// `solver.<name>.solve_ns` histogram, plus backend-specific work
-    /// counters (transient steps, chain sizes, Monte-Carlo draws). With
-    /// a disabled handle this must behave exactly like an
-    /// uninstrumented solve — bit-identical results, no clock reads.
+    /// Solves one compiled path problem, reporting into `ctx` (see
+    /// [`SolveContext`]).
     ///
     /// # Errors
     ///
     /// Backend-specific solver failures (the fast evaluator is total;
     /// the explicit chain propagates linear-solver errors).
-    fn solve_path_observed(
+    fn solve(
         &self,
         problem: &PathProblem,
         plan: MeasurePlan,
-        obs: &Metrics,
+        ctx: &SolveContext<'_>,
     ) -> Result<PathEvaluation>;
 
-    /// Solves one compiled path problem without observability.
+    /// Solves one compiled path problem (at index 0) without
+    /// instrumentation.
     ///
     /// # Errors
     ///
-    /// As [`Solver::solve_path_observed`].
+    /// As [`Solver::solve`].
     fn solve_path(&self, problem: &PathProblem, plan: MeasurePlan) -> Result<PathEvaluation> {
-        self.solve_path_observed(problem, plan, &Metrics::disabled())
+        let (metrics, trace) = (Metrics::disabled(), Trace::disabled());
+        self.solve(problem, plan, &SolveContext::new(&metrics, &trace))
     }
 
-    /// Solves one compiled path problem, recording metrics into `obs`
-    /// and structured provenance into `trace`: a `path_solve` span per
-    /// solve plus backend-specific events (per-hop link provenance,
-    /// per-cycle transition mass, chain sizes, Monte-Carlo seeds).
-    ///
-    /// The contract mirrors the metrics one: with a disabled trace
-    /// handle this must behave exactly like
-    /// [`Solver::solve_path_observed`] — bit-identical results, no
-    /// extra clock reads or allocation. The default implementation
-    /// ignores the trace entirely, so backends without provenance stay
-    /// correct.
-    ///
-    /// # Errors
-    ///
-    /// As [`Solver::solve_path_observed`].
-    fn solve_path_traced(
-        &self,
-        problem: &PathProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> Result<PathEvaluation> {
-        let _ = trace;
-        self.solve_path_observed(problem, plan, obs)
-    }
-
-    /// Solves a compiled network problem path by path, recording
-    /// backend observability into `obs`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first path-solve failure.
-    fn solve_network_observed(
-        &self,
-        problem: &NetworkProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-    ) -> Result<NetworkEvaluation> {
-        let reports = problem
-            .paths()
-            .iter()
-            .zip(problem.path_problems())
-            .map(|(path, p)| {
-                Ok(PathReport {
-                    path: path.clone(),
-                    evaluation: Arc::new(self.solve_path_observed(p, plan, obs)?),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(NetworkEvaluation::from_reports(reports))
-    }
-
-    /// Solves a compiled network problem without observability.
+    /// Solves a compiled network problem path by path without
+    /// instrumentation; see [`solve_network_with`].
     ///
     /// # Errors
     ///
@@ -425,37 +408,57 @@ pub trait Solver: Send + Sync {
         problem: &NetworkProblem,
         plan: MeasurePlan,
     ) -> Result<NetworkEvaluation> {
-        self.solve_network_observed(problem, plan, &Metrics::disabled())
+        solve_network_with(
+            self,
+            problem,
+            plan,
+            &Metrics::disabled(),
+            &Trace::disabled(),
+        )
     }
+}
 
-    /// Solves a compiled network problem path by path with metrics and
-    /// provenance tracing; see [`Solver::solve_path_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first path-solve failure.
-    fn solve_network_traced(
-        &self,
-        problem: &NetworkProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> Result<NetworkEvaluation> {
-        if !trace.is_enabled() {
-            return self.solve_network_observed(problem, plan, obs);
-        }
-        let reports = problem
-            .paths()
-            .iter()
-            .zip(problem.path_problems())
-            .map(|(path, p)| {
-                Ok(PathReport {
-                    path: path.clone(),
-                    evaluation: Arc::new(self.solve_path_traced(p, plan, obs, trace)?),
-                })
+/// Solves a compiled network problem path by path, in path order, with
+/// path `i` solved at [`SolveContext::index`] `i`.
+///
+/// # Errors
+///
+/// Propagates the first path-solve failure.
+pub fn solve_network_with<S: Solver + ?Sized>(
+    solver: &S,
+    problem: &NetworkProblem,
+    plan: MeasurePlan,
+    metrics: &Metrics,
+    trace: &Trace,
+) -> Result<NetworkEvaluation> {
+    let reports = problem
+        .paths()
+        .iter()
+        .zip(problem.path_problems())
+        .enumerate()
+        .map(|(index, (path, p))| {
+            let ctx = SolveContext {
+                metrics,
+                trace,
+                index: index as u64,
+            };
+            Ok(PathReport {
+                path: path.clone(),
+                evaluation: Arc::new(solver.solve(p, plan, &ctx)?),
             })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(NetworkEvaluation::from_reports(reports))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok(NetworkEvaluation::from_reports(reports))
+}
+
+/// The bit error rate a hop's `p_fl` implies at the standard 127-byte
+/// WirelessHART message (Eq. 2 inverted; 1 for a link that always fails).
+pub(crate) fn implied_ber(h: &ProblemHop) -> f64 {
+    let p_fl = h.dynamics().model().p_fl();
+    if p_fl < 1.0 {
+        ber_from_failure_probability(p_fl, WIRELESSHART_MESSAGE_BITS)
+    } else {
+        1.0
     }
 }
 
@@ -466,11 +469,7 @@ pub trait Solver: Send + Sync {
 /// the OQPSK AWGN curve — the implied `Eb/N0`).
 pub fn hop_provenance(hop: usize, h: &ProblemHop) -> Vec<(&'static str, ArgValue)> {
     let model = h.dynamics().model();
-    let ber = if model.p_fl() < 1.0 {
-        ber_from_failure_probability(model.p_fl(), WIRELESSHART_MESSAGE_BITS)
-    } else {
-        1.0
-    };
+    let ber = implied_ber(h);
     let mut args = vec![
         ("hop", ArgValue::from(hop)),
         ("frame_slot", ArgValue::from(h.frame_slot())),
@@ -515,159 +514,80 @@ impl Solver for FastSolver {
         true
     }
 
-    fn solve_path_observed(
+    /// With the trace enabled, a step observer feeds the journal; the
+    /// iteration itself is identical. Per solve it then emits one
+    /// `path_solve` span, one `cycle` instant per completed cycle
+    /// (transition mass into the goal state and the in-flight residual),
+    /// one `discard` instant at the TTL expiry and one `hop` instant per
+    /// hop (link provenance plus the hop's expected attempts/failures
+    /// and discard-attributed loss mass).
+    fn solve(
         &self,
         problem: &PathProblem,
         plan: MeasurePlan,
-        obs: &Metrics,
+        ctx: &SolveContext<'_>,
     ) -> Result<PathEvaluation> {
-        let span = obs.timer("solver.fast.solve_ns");
-        let (evaluation, steps) = fast_evaluate_counted(problem, plan);
-        span.stop();
-        obs.counter("solver.fast.transient_steps").add(steps);
-        Ok(evaluation)
-    }
-
-    fn solve_network_observed(
-        &self,
-        problem: &NetworkProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-    ) -> Result<NetworkEvaluation> {
-        let evaluations = evaluate_parallel(problem.path_problems(), plan, obs);
-        let reports = problem
-            .paths()
-            .iter()
-            .cloned()
-            .zip(evaluations)
-            .map(|(path, evaluation)| PathReport {
-                path,
-                evaluation: Arc::new(evaluation),
-            })
-            .collect();
-        Ok(NetworkEvaluation::from_reports(reports))
-    }
-
-    /// The traced fast solve: the identical transient iteration, with a
-    /// step observer feeding the journal. Per solve it emits one
-    /// `path_solve` span, one `hop` instant per hop (link provenance
-    /// plus the hop's expected attempts/failures and discard-attributed
-    /// loss mass), one `cycle` instant per completed cycle (transition
-    /// mass into the goal state and the in-flight residual) and one
-    /// `discard` instant at the TTL expiry.
-    fn solve_path_traced(
-        &self,
-        problem: &PathProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> Result<PathEvaluation> {
-        if !trace.is_enabled() {
-            return self.solve_path_observed(problem, plan, obs);
-        }
+        let trace = ctx.trace;
         let mut span = trace.span("path_solve", "solver.fast");
-        let n = problem.hop_count();
-        let mut attempts = vec![0.0f64; n];
-        let mut failures = vec![0.0f64; n];
-        let mut loss = vec![0.0f64; n];
-        let timer = obs.timer("solver.fast.solve_ns");
-        let (evaluation, steps) = fast_evaluate_observed(problem, plan, |event| match event {
-            StepEvent::Transmission {
-                hop, mass, moved, ..
-            } => {
-                attempts[hop] += mass;
-                failures[hop] += mass - moved;
-            }
-            StepEvent::CycleEnd {
-                cycle,
-                goal_mass,
-                delivered,
-                in_flight,
-            } => {
-                trace.instant(
-                    "cycle",
-                    "solver.fast",
-                    [
-                        ("cycle", ArgValue::from(cycle as u64 + 1)),
-                        ("goal_mass", ArgValue::from(goal_mass)),
-                        ("delivered", ArgValue::from(delivered)),
-                        ("residual", ArgValue::from(in_flight)),
-                    ],
-                );
-            }
-            StepEvent::Discard { step, in_flight } => {
-                loss.copy_from_slice(in_flight);
-                trace.instant(
-                    "discard",
-                    "solver.fast",
-                    [
-                        ("step", ArgValue::from(step)),
-                        ("mass", ArgValue::from(in_flight.iter().sum::<f64>())),
-                    ],
-                );
-            }
-        });
+        let mut tally = span
+            .is_recording()
+            .then(|| HopTally::new(problem.hop_count()));
+        let timer = ctx.metrics.timer("solver.fast.solve_ns");
+        let (evaluation, steps) = match &mut tally {
+            None => fast_evaluate_counted(problem, plan),
+            Some(tally) => fast_evaluate_observed(problem, plan, |event| {
+                tally.record(&event);
+                trace_step(&event, trace);
+            }),
+        };
         timer.stop();
-        obs.counter("solver.fast.transient_steps").add(steps);
-        for (hop, h) in problem.hops().iter().enumerate() {
-            let mut args = hop_provenance(hop, h);
-            args.push(("expected_attempts", ArgValue::from(attempts[hop])));
-            args.push(("expected_failures", ArgValue::from(failures[hop])));
-            args.push(("loss_mass", ArgValue::from(loss[hop])));
-            trace.instant("hop", "solver.fast", args);
+        ctx.metrics
+            .counter("solver.fast.transient_steps")
+            .add(steps);
+        if let Some(tally) = tally {
+            for (hop, h) in problem.hops().iter().enumerate() {
+                let mut args = hop_provenance(hop, h);
+                args.push(("expected_attempts", ArgValue::from(tally.attempts[hop])));
+                args.push(("expected_failures", ArgValue::from(tally.failures[hop])));
+                args.push(("loss_mass", ArgValue::from(tally.loss[hop])));
+                trace.instant("hop", "solver.fast", args);
+            }
+            span.arg("hops", problem.hop_count());
+            span.arg("transient_steps", steps);
+            span.arg("reachability", evaluation.reachability());
         }
-        span.arg("hops", n);
-        span.arg("transient_steps", steps);
-        span.arg("reachability", evaluation.reachability());
         Ok(evaluation)
     }
 }
 
-/// Solves a batch of compiled path problems on scoped worker threads
-/// (one chunk per available core, bounded by the batch size). Each
-/// solve is timed into `solver.fast.solve_ns`; instrument handles are
-/// resolved once, so the per-solve cost is two atomic updates (none
-/// when `obs` is disabled).
-pub(crate) fn evaluate_parallel(
-    problems: &[PathProblem],
-    plan: MeasurePlan,
-    obs: &Metrics,
-) -> Vec<PathEvaluation> {
-    let latency = obs.histogram("solver.fast.solve_ns");
-    let steps_total = obs.counter("solver.fast.transient_steps");
-    let solve = |problem: &PathProblem| {
-        let span = latency.start();
-        let (evaluation, steps) = fast_evaluate_counted(problem, plan);
-        span.stop();
-        steps_total.add(steps);
-        evaluation
-    };
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = workers.min(problems.len()).max(1);
-    if workers <= 1 {
-        return problems.iter().map(solve).collect();
+/// Journals the fast solve's `cycle` and `discard` step events.
+fn trace_step(event: &StepEvent<'_>, trace: &Trace) {
+    match *event {
+        StepEvent::Transmission { .. } => {}
+        StepEvent::CycleEnd {
+            cycle,
+            goal_mass,
+            delivered,
+            in_flight,
+        } => trace.instant(
+            "cycle",
+            "solver.fast",
+            [
+                ("cycle", ArgValue::from(cycle as u64 + 1)),
+                ("goal_mass", ArgValue::from(goal_mass)),
+                ("delivered", ArgValue::from(delivered)),
+                ("residual", ArgValue::from(in_flight)),
+            ],
+        ),
+        StepEvent::Discard { step, in_flight } => trace.instant(
+            "discard",
+            "solver.fast",
+            [
+                ("step", ArgValue::from(step)),
+                ("mass", ArgValue::from(in_flight.iter().sum::<f64>())),
+            ],
+        ),
     }
-    let chunk = problems.len().div_ceil(workers);
-    let mut out: Vec<Option<PathEvaluation>> = vec![None; problems.len()];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (problems_chunk, out_chunk) in problems.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let solve = &solve;
-            handles.push(scope.spawn(move || {
-                for (problem, slot) in problems_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(solve(problem));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("path evaluation workers do not panic");
-        }
-    });
-    out.into_iter()
-        .map(|e| e.expect("every slot filled"))
-        .collect()
 }
 
 /// The reference backend: Algorithm 1's explicit unrolled DTMC (Figs.
@@ -684,52 +604,34 @@ impl Solver for ExplicitSolver {
         "explicit"
     }
 
-    fn solve_path_observed(
+    /// With the trace enabled, the `path_solve` span carries the
+    /// enumerated chain's state/transition counts, and one `hop`
+    /// provenance instant per hop follows the solve.
+    fn solve(
         &self,
         problem: &PathProblem,
         _plan: MeasurePlan,
-        obs: &Metrics,
+        ctx: &SolveContext<'_>,
     ) -> Result<PathEvaluation> {
-        let span = obs.timer("solver.explicit.solve_ns");
+        let mut span = ctx.trace.span("path_solve", "solver.explicit");
+        let timer = ctx.metrics.timer("solver.explicit.solve_ns");
         let chain = explicit_chain_of(problem);
-        obs.counter("solver.explicit.states")
+        ctx.metrics
+            .counter("solver.explicit.states")
             .add(chain.state_count() as u64);
-        obs.counter("solver.explicit.transitions")
+        ctx.metrics
+            .counter("solver.explicit.transitions")
             .add(chain.transition_count() as u64);
+        span.arg("states", chain.state_count());
+        span.arg("transitions", chain.transition_count());
         let (cycle_probabilities, discard) = chain.solve()?;
         let evaluation = problem.evaluation_from_cycles(cycle_probabilities, discard);
-        span.stop();
-        Ok(evaluation)
-    }
-
-    /// The traced explicit solve: identical numerics, plus a `path_solve`
-    /// span carrying the enumerated chain's state/transition counts and
-    /// one `hop` provenance instant per hop.
-    fn solve_path_traced(
-        &self,
-        problem: &PathProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> Result<PathEvaluation> {
-        if !trace.is_enabled() {
-            return self.solve_path_observed(problem, plan, obs);
+        timer.stop();
+        if span.is_recording() {
+            trace_hops(problem, "solver.explicit", ctx.trace);
+            span.arg("hops", problem.hop_count());
+            span.arg("reachability", evaluation.reachability());
         }
-        let mut tspan = trace.span("path_solve", "solver.explicit");
-        let span = obs.timer("solver.explicit.solve_ns");
-        let chain = explicit_chain_of(problem);
-        obs.counter("solver.explicit.states")
-            .add(chain.state_count() as u64);
-        obs.counter("solver.explicit.transitions")
-            .add(chain.transition_count() as u64);
-        tspan.arg("states", chain.state_count());
-        tspan.arg("transitions", chain.transition_count());
-        let (cycle_probabilities, discard) = chain.solve()?;
-        let evaluation = problem.evaluation_from_cycles(cycle_probabilities, discard);
-        span.stop();
-        trace_hops(problem, "solver.explicit", trace);
-        tspan.arg("hops", problem.hop_count());
-        tspan.arg("reachability", evaluation.reachability());
         Ok(evaluation)
     }
 }

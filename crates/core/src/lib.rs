@@ -81,7 +81,8 @@ pub use dynamics::{LinkDynamics, Outage};
 pub use error::{ModelError, Result};
 pub use explain::{explain_path, DelayComponent, HopBreakdown, PathExplanation};
 pub use ir::{
-    ExplicitSolver, FastSolver, MeasurePlan, NetworkProblem, PathProblem, ProblemHop, Solver,
+    solve_network_with, ExplicitSolver, FastSolver, MeasurePlan, NetworkProblem, PathProblem,
+    ProblemHop, SolveContext, Solver,
 };
 pub use measures::{DelayConvention, UtilizationConvention};
 pub use network::{NetworkEvaluation, NetworkModel, PathReport};

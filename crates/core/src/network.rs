@@ -9,9 +9,9 @@
 
 use crate::dynamics::LinkDynamics;
 use crate::error::{ModelError, Result};
-use crate::ir::{FastSolver, MeasurePlan, NetworkProblem, PathProblem, Solver};
+use crate::ir::{MeasurePlan, NetworkProblem, PathProblem};
 use crate::measures::{DelayConvention, UtilizationConvention};
-use crate::path::{PathEvaluation, PathModel};
+use crate::path::{fast_evaluate, PathEvaluation, PathModel};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use whart_dtmc::ValueDistribution;
@@ -195,14 +195,57 @@ impl NetworkModel {
 
     /// Evaluates every path with the fast backend. Path models are
     /// independent, so they are solved on parallel worker threads;
-    /// equivalent to `FastSolver.solve_network(&self.compile()?, ..)`.
+    /// bit-identical to `FastSolver.solve_network(&self.compile()?, ..)`.
     ///
     /// # Errors
     ///
     /// Propagates the first path-model construction failure.
     pub fn evaluate(&self) -> Result<NetworkEvaluation> {
-        FastSolver.solve_network(&self.compile()?, MeasurePlan::default())
+        let (paths, problems) = self.compile()?.into_parts();
+        let evaluations = evaluate_parallel(&problems, MeasurePlan::default());
+        let reports = paths
+            .into_iter()
+            .zip(evaluations)
+            .map(|(path, evaluation)| PathReport {
+                path,
+                evaluation: Arc::new(evaluation),
+            })
+            .collect();
+        Ok(NetworkEvaluation::from_reports(reports))
     }
+}
+
+/// Solves a batch of compiled path problems on scoped worker threads
+/// (one chunk per available core, bounded by the batch size) — the
+/// fan-out behind [`NetworkModel::evaluate`].
+fn evaluate_parallel(problems: &[PathProblem], plan: MeasurePlan) -> Vec<PathEvaluation> {
+    let solve = |problem: &PathProblem| fast_evaluate(problem, plan);
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let workers = workers.min(problems.len()).max(1);
+    if workers <= 1 {
+        return problems.iter().map(solve).collect();
+    }
+    let chunk = problems.len().div_ceil(workers);
+    let mut out: Vec<Option<PathEvaluation>> = vec![None; problems.len()];
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for (problems_chunk, out_chunk) in problems.chunks(chunk).zip(out.chunks_mut(chunk)) {
+            let solve = &solve;
+            handles.push(scope.spawn(move || {
+                for (problem, slot) in problems_chunk.iter().zip(out_chunk.iter_mut()) {
+                    *slot = Some(solve(problem));
+                }
+            }));
+        }
+        for h in handles {
+            h.join().expect("path evaluation workers do not panic");
+        }
+    });
+    out.into_iter()
+        .map(|e| e.expect("every slot filled"))
+        .collect()
 }
 
 /// One path's evaluation inside a network.

@@ -271,6 +271,40 @@ pub(crate) enum StepEvent<'a> {
     },
 }
 
+/// Per-hop expected transmission attempts, failed attempts and
+/// discard-attributed loss mass, accumulated from a solve's
+/// [`StepEvent`]s (`loss[j]` is the mass stranded before hop `j` at the
+/// TTL expiry).
+#[derive(Debug, Clone)]
+pub(crate) struct HopTally {
+    pub(crate) attempts: Vec<f64>,
+    pub(crate) failures: Vec<f64>,
+    pub(crate) loss: Vec<f64>,
+}
+
+impl HopTally {
+    pub(crate) fn new(hops: usize) -> HopTally {
+        HopTally {
+            attempts: vec![0.0; hops],
+            failures: vec![0.0; hops],
+            loss: vec![0.0; hops],
+        }
+    }
+
+    pub(crate) fn record(&mut self, event: &StepEvent<'_>) {
+        match *event {
+            StepEvent::Transmission {
+                hop, mass, moved, ..
+            } => {
+                self.attempts[hop] += mass;
+                self.failures[hop] += mass - moved;
+            }
+            StepEvent::CycleEnd { .. } => {}
+            StepEvent::Discard { in_flight, .. } => self.loss.copy_from_slice(in_flight),
+        }
+    }
+}
+
 /// [`fast_evaluate`] plus the number of transient iteration steps the
 /// solve actually executed (the TTL can cut the horizon short) — the
 /// quantity the fast backend reports to the observability layer.

@@ -2,9 +2,12 @@
 //! bit-identical to plain ones, and a disabled registry must stay empty.
 
 use whart_model::sweeps::{chain_model, section_v_model};
-use whart_model::{ExplicitSolver, FastSolver, MeasurePlan, Solver};
+use whart_model::{
+    solve_network_with, ExplicitSolver, FastSolver, MeasurePlan, SolveContext, Solver,
+};
 use whart_net::ReportingInterval;
 use whart_obs::Metrics;
+use whart_trace::Trace;
 
 #[test]
 fn fast_solver_is_inert_when_observability_is_off() {
@@ -16,7 +19,11 @@ fn fast_solver_is_inert_when_observability_is_off() {
         .solve_path(&problem, MeasurePlan::SCALAR)
         .unwrap();
     let observed = FastSolver
-        .solve_path_observed(&problem, MeasurePlan::SCALAR, &disabled)
+        .solve(
+            &problem,
+            MeasurePlan::SCALAR,
+            &SolveContext::new(&disabled, &Trace::disabled()),
+        )
         .unwrap();
     assert_eq!(plain, observed, "bit-identical evaluation");
     assert!(
@@ -36,7 +43,11 @@ fn fast_solver_records_timing_and_steps_without_perturbing_results() {
         .solve_path(&problem, MeasurePlan::SCALAR)
         .unwrap();
     let observed = FastSolver
-        .solve_path_observed(&problem, MeasurePlan::SCALAR, &metrics)
+        .solve(
+            &problem,
+            MeasurePlan::SCALAR,
+            &SolveContext::new(&metrics, &Trace::disabled()),
+        )
         .unwrap();
     assert_eq!(plain, observed, "metrics must not perturb the solve");
     let snapshot = metrics.snapshot();
@@ -55,7 +66,11 @@ fn explicit_solver_reports_chain_dimensions() {
         .compile();
     let metrics = Metrics::new();
     let observed = ExplicitSolver
-        .solve_path_observed(&problem, MeasurePlan::SCALAR, &metrics)
+        .solve(
+            &problem,
+            MeasurePlan::SCALAR,
+            &SolveContext::new(&metrics, &Trace::disabled()),
+        )
         .unwrap();
     let plain = ExplicitSolver
         .solve_path(&problem, MeasurePlan::SCALAR)
@@ -84,9 +99,14 @@ fn network_solves_share_the_registry_across_paths() {
     .unwrap();
     let network = model.compile().unwrap();
     let metrics = Metrics::new();
-    let observed = FastSolver
-        .solve_network_observed(&network, MeasurePlan::SCALAR, &metrics)
-        .unwrap();
+    let observed = solve_network_with(
+        &FastSolver,
+        &network,
+        MeasurePlan::SCALAR,
+        &metrics,
+        &Trace::disabled(),
+    )
+    .unwrap();
     let plain = FastSolver
         .solve_network(&network, MeasurePlan::SCALAR)
         .unwrap();

@@ -8,7 +8,7 @@ use whart_channel::{EbN0, LinkModel, Modulation};
 use whart_model::signature::PathSignature;
 use whart_model::{
     FastSolver, MeasurePlan, NetworkEvaluation, PathEvaluation, PathModel, PathProblem, PathReport,
-    Result, Solver,
+    Result, SolveContext, Solver,
 };
 use whart_obs::Metrics;
 use whart_prof::{Frame, Profiler};
@@ -476,7 +476,7 @@ impl Engine {
             |((_, plan), problem)| {
                 let _solve = profiler.enter(frames.solver);
                 let start = enabled.then(Instant::now);
-                let result = solver.solve_path_traced(problem, *plan, &obs, &trace);
+                let result = solver.solve(problem, *plan, &SolveContext::new(&obs, &trace));
                 (result, start.map(|s| s.elapsed()).unwrap_or_default())
             },
         );

@@ -23,6 +23,11 @@ pub enum Json {
     Object(Vec<(String, Json)>),
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so the limit bounds its stack use: without it a few kilobytes
+/// of `[` overflow a worker thread's stack and abort the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: message plus byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -48,6 +53,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -308,6 +314,8 @@ impl std::ops::Index<usize> for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -348,8 +356,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
@@ -357,6 +364,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// An array or object one level deeper, refused past [`MAX_DEPTH`].
+    fn nested(&mut self) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -586,6 +608,23 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\":}", "tru", "1 2", "{'a':1}", "\"\\q\""] {
             assert!(Json::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_recursing_past_the_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(
+            err.to_string(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // Far deeper than any thread stack could recurse: refused at the
+        // limit, not by a stack overflow. Objects count toward it too.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(Json::parse(&objects).unwrap_err().offset, 5 * MAX_DEPTH);
     }
 
     #[test]

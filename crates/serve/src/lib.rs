@@ -14,7 +14,7 @@
 //!   response bodies.
 //! * [`conn`] — persistent-connection framing: a cross-request receive
 //!   buffer (pipelining) and deadline-bounded reads and writes.
-//! * [`poll`] (Unix) — readiness polling via a thin libc-free
+//! * [`poll`] — readiness polling via a thin libc-free
 //!   `poll(2)` shim, plus the wake pipe workers use to interrupt the
 //!   event loop.
 //! * [`router`] — exact-path routing with stable route labels for
@@ -58,10 +58,14 @@
 #![deny(unsafe_code)] // `signal` and `poll` opt out locally for their shims.
 #![warn(missing_docs)]
 
+// The event loop polls raw descriptors and installs a POSIX signal
+// handler; there is no other platform backend.
+#[cfg(not(unix))]
+compile_error!("whart-serve supports Unix targets only");
+
 pub mod conn;
 pub mod flight;
 pub mod http;
-#[cfg(unix)]
 pub mod poll;
 pub mod router;
 pub mod server;

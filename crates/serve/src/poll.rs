@@ -1,18 +1,13 @@
 //! Readiness polling over nonblocking sockets without a libc crate.
 //!
 //! The accept loop needs exactly one OS facility: "which of these file
-//! descriptors is readable, or has `timeout` elapsed?". On Unix that is
+//! descriptors is readable, or has `timeout` elapsed?". That is
 //! `poll(2)`, declared here directly (the workspace vendors no FFI
 //! crate, mirroring [`crate::signal`]). The module also provides
 //! [`WakePipe`], a loopback socket pair the worker threads write one
 //! byte into to interrupt a sleeping `poll` — the std-only stand-in for
 //! a self-pipe — so a connection handed back for parking is observed
 //! immediately instead of on the next timeout tick.
-//!
-//! On non-Unix targets this module is absent; the server falls back to
-//! a blocking worker-per-connection mode (see `server.rs`).
-
-#![cfg(unix)]
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};

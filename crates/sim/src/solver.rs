@@ -21,9 +21,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use whart_model::{MeasurePlan, PathEvaluation, PathProblem, Result, Solver};
-use whart_obs::Metrics;
-use whart_trace::Trace;
+use whart_model::ir::trace_hops;
+use whart_model::{MeasurePlan, PathEvaluation, PathProblem, Result, SolveContext, Solver};
 
 /// Seed-mixing constant (the golden-ratio increment used throughout the
 /// workspace's parallel seeding).
@@ -97,21 +96,38 @@ impl MonteCarloSolver {
         (None, attempts)
     }
 
-    /// The seed used for `problem` when solved in a batch at `index`
-    /// (mixed so per-path streams are independent).
+    /// The seed used for the path at `index` in its network (mixed so
+    /// per-path streams are independent).
     fn path_seed(&self, index: u64) -> u64 {
         self.seed
             .wrapping_add(SEED_MIX.wrapping_mul(index.wrapping_add(1)))
     }
+}
 
-    fn solve_path_seeded(
+impl Solver for MonteCarloSolver {
+    fn name(&self) -> &'static str {
+        "sim"
+    }
+
+    /// Statistical estimates of the path measures from the seed stream
+    /// of [`SolveContext::index`]. Total — never fails. Trajectory
+    /// requests are ignored (the estimator keeps no per-slot record);
+    /// the returned evaluation carries scalars only.
+    ///
+    /// All replications share one sequential RNG stream (replication `k`
+    /// consumes the draws replication `k-1` left off at — reseeding per
+    /// replication would change the estimates). With the trace enabled,
+    /// the `path_solve` span carries the seed and the aggregate draw
+    /// statistics, and one `hop` provenance instant per hop follows.
+    fn solve(
         &self,
         problem: &PathProblem,
-        seed: u64,
         _plan: MeasurePlan,
-        obs: &Metrics,
-    ) -> PathEvaluation {
-        let span = obs.timer("solver.sim.solve_ns");
+        ctx: &SolveContext<'_>,
+    ) -> Result<PathEvaluation> {
+        let seed = self.path_seed(ctx.index);
+        let mut span = ctx.trace.span("path_solve", "solver.sim");
+        let timer = ctx.metrics.timer("solver.sim.solve_ns");
         let cycles = problem.interval().cycles() as usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut deliveries = vec![0u64; cycles];
@@ -132,132 +148,24 @@ impl MonteCarloSolver {
             discards as f64 / reps,
             attempts as f64 / reps,
         );
-        span.stop();
+        timer.stop();
         // One Bernoulli draw per attempted transmission.
-        obs.counter("solver.sim.draws").add(attempts);
-        obs.counter("solver.sim.replications").add(self.intervals);
-        evaluation
-    }
-
-    /// The traced counterpart of [`MonteCarloSolver::solve_path_seeded`]:
-    /// the identical single sequential RNG stream (replication `k`
-    /// consumes the draws replication `k-1` left off at — reseeding per
-    /// replication would change the estimates), plus a `path_solve` span
-    /// carrying the replication seed and the aggregate draw statistics,
-    /// and one `hop` provenance instant per hop.
-    fn solve_path_traced_seeded(
-        &self,
-        problem: &PathProblem,
-        seed: u64,
-        plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> PathEvaluation {
-        let mut span = trace.span("path_solve", "solver.sim");
-        let evaluation = self.solve_path_seeded(problem, seed, plan, obs);
-        whart_model::ir::trace_hops(problem, "solver.sim", trace);
-        span.arg("seed", seed);
-        span.arg("replications", self.intervals);
-        span.arg(
-            "draws",
-            (evaluation.expected_transmissions() * self.intervals as f64).round() as u64,
-        );
-        span.arg("reachability", evaluation.reachability());
-        span.arg("discard_probability", evaluation.discard_probability());
-        evaluation
-    }
-}
-
-impl Solver for MonteCarloSolver {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    /// Statistical estimates of the path measures. Total — never fails.
-    /// Trajectory requests are ignored (the estimator keeps no per-slot
-    /// record); the returned evaluation carries scalars only.
-    fn solve_path_observed(
-        &self,
-        problem: &PathProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-    ) -> Result<PathEvaluation> {
-        Ok(self.solve_path_seeded(problem, self.path_seed(0), plan, obs))
-    }
-
-    /// The traced statistical solve; the RNG stream and therefore the
-    /// estimates are bit-identical to [`Solver::solve_path_observed`];
-    /// the seeded worker behind both entry points is shared.
-    fn solve_path_traced(
-        &self,
-        problem: &PathProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> Result<PathEvaluation> {
-        if !trace.is_enabled() {
-            return self.solve_path_observed(problem, plan, obs);
+        ctx.metrics.counter("solver.sim.draws").add(attempts);
+        ctx.metrics
+            .counter("solver.sim.replications")
+            .add(self.intervals);
+        if span.is_recording() {
+            trace_hops(problem, "solver.sim", ctx.trace);
+            span.arg("seed", seed);
+            span.arg("replications", self.intervals);
+            span.arg(
+                "draws",
+                (evaluation.expected_transmissions() * reps).round() as u64,
+            );
+            span.arg("reachability", evaluation.reachability());
+            span.arg("discard_probability", evaluation.discard_probability());
         }
-        Ok(self.solve_path_traced_seeded(problem, self.path_seed(0), plan, obs, trace))
-    }
-
-    fn solve_network_observed(
-        &self,
-        problem: &whart_model::NetworkProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-    ) -> Result<whart_model::NetworkEvaluation> {
-        use std::sync::Arc;
-        let reports = problem
-            .paths()
-            .iter()
-            .zip(problem.path_problems())
-            .enumerate()
-            .map(|(i, (path, p))| whart_model::PathReport {
-                path: path.clone(),
-                evaluation: Arc::new(self.solve_path_seeded(
-                    p,
-                    self.path_seed(i as u64),
-                    plan,
-                    obs,
-                )),
-            })
-            .collect();
-        Ok(whart_model::NetworkEvaluation::from_reports(reports))
-    }
-
-    /// The traced network solve. Must mirror the per-path-index seeding
-    /// of [`Solver::solve_network_observed`] — the trait default routes
-    /// through `solve_path_traced`, which always uses `path_seed(0)`
-    /// and would break traced/untraced bit-parity for network problems.
-    fn solve_network_traced(
-        &self,
-        problem: &whart_model::NetworkProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> Result<whart_model::NetworkEvaluation> {
-        if !trace.is_enabled() {
-            return self.solve_network_observed(problem, plan, obs);
-        }
-        use std::sync::Arc;
-        let reports = problem
-            .paths()
-            .iter()
-            .zip(problem.path_problems())
-            .enumerate()
-            .map(|(i, (path, p))| whart_model::PathReport {
-                path: path.clone(),
-                evaluation: Arc::new(self.solve_path_traced_seeded(
-                    p,
-                    self.path_seed(i as u64),
-                    plan,
-                    obs,
-                    trace,
-                )),
-            })
-            .collect();
-        Ok(whart_model::NetworkEvaluation::from_reports(reports))
+        Ok(evaluation)
     }
 }
 
@@ -325,7 +233,7 @@ mod tests {
     #[test]
     fn network_solves_are_bit_identical_with_tracing_enabled() {
         use whart_channel::LinkModel;
-        use whart_model::NetworkModel;
+        use whart_model::{solve_network_with, NetworkModel};
         use whart_net::typical::TypicalNetwork;
         use whart_obs::Metrics;
         use whart_trace::Trace;
@@ -337,13 +245,16 @@ mod tests {
                 .compile()
                 .unwrap();
         let solver = MonteCarloSolver::new(7, 5_000);
-        let plain = solver
-            .solve_network_observed(&problem, MeasurePlan::SCALAR, &Metrics::disabled())
-            .unwrap();
+        let plain = solver.solve_network(&problem, MeasurePlan::SCALAR).unwrap();
         let trace = Trace::new();
-        let traced = solver
-            .solve_network_traced(&problem, MeasurePlan::SCALAR, &Metrics::disabled(), &trace)
-            .unwrap();
+        let traced = solve_network_with(
+            &solver,
+            &problem,
+            MeasurePlan::SCALAR,
+            &Metrics::disabled(),
+            &trace,
+        )
+        .unwrap();
         assert_eq!(plain.reports().len(), traced.reports().len());
         for (a, b) in plain.reports().iter().zip(traced.reports()) {
             assert_eq!(a.evaluation, b.evaluation, "{}", a.path);
