@@ -12,18 +12,19 @@
 //! * `serial-loop` — `NetworkModel::evaluate` per scenario, no sharing;
 //! * `cold/{workers}` — a fresh engine per iteration;
 //! * `warm/{workers}` — a pre-warmed engine (pure cache traffic);
-//! * `profiled/4` — the warm 4-worker drain with a `whart-prof`
+//! * `profiled/4` — the warm 4-worker drain with a sampling
 //!   profiler attached and a live capture sampling at the default rate,
 //!   pinning the facade's observed overhead (gated at
 //!   [`PROFILED_CEILING`] of the `warm/4` time).
 //!
 //! The harness run itself executes under that capture, so alongside the
-//! timings it returns a [`whart_prof::Profile`] attributing the warm
+//! timings it returns a [`whart_trace::Profile`] attributing the warm
 //! phase's wall time to engine frames — the attribution table
 //! `bench-engine` prints to explain flat warm-scaling rows.
 
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 use whart_channel::LinkModel;
 use whart_engine::{Engine, MeasureSet, Scenario};
 use whart_json::Json;
@@ -31,7 +32,7 @@ use whart_model::NetworkModel;
 use whart_net::typical::TypicalNetwork;
 use whart_net::ReportingInterval;
 use whart_obs::{Metrics, MetricsSnapshot};
-use whart_prof::{Profile, Profiler};
+use whart_trace::{Instruments, Profile, Profiler};
 
 const AVAILABILITIES: [f64; 6] = [0.693, 0.774, 0.83, 0.903, 0.948, 0.989];
 const INTERVALS: [u32; 3] = [1, 2, 4];
@@ -150,9 +151,10 @@ fn submit_fleet(engine: &mut Engine, models: &[Arc<NetworkModel>]) {
 }
 
 fn time_one<F: FnOnce()>(metrics: &Metrics, group: &str, iteration: F) {
-    let span = metrics.histogram(&format!("{PREFIX}{group}")).start();
+    let start = Instant::now();
     iteration();
-    span.stop();
+    let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    metrics.histogram(&format!("{PREFIX}{group}")).record(nanos);
 }
 
 /// Runs every group over `models`, returning the registry snapshot the
@@ -210,11 +212,14 @@ pub fn run_engine_throughput(
     // the profiler, so the returned profile attributes its drains alone.
     let profiler = Profiler::new();
     let mut profiled_engine = Engine::new(PROFILED_WORKERS);
-    profiled_engine.set_profiler(profiler.clone());
+    profiled_engine.set_instruments(Instruments {
+        profiler: profiler.clone(),
+        ..Instruments::default()
+    });
     submit_fleet(&mut profiled_engine, models);
     profiled_engine.drain().expect("valid");
     let capture = profiler
-        .start_capture(whart_prof::DEFAULT_HZ)
+        .start_capture(whart_trace::DEFAULT_HZ)
         .expect("enabled profiler starts a capture");
 
     let warm = |engine: &mut Engine| {

@@ -8,9 +8,8 @@ use whart_model::{
     ExplicitSolver, FastSolver, MeasurePlan, Solver, UtilizationConvention,
 };
 use whart_obs::Metrics;
-use whart_prof::Profiler;
 use whart_sim::{MonteCarloSolver, PhyMode, Simulator};
-use whart_trace::Trace;
+use whart_trace::{Capture, Instruments, Profiler, SpanNames, Trace};
 
 /// Writes `text` to `path`, or returns it for the caller to append to
 /// stdout when `path` is `-`.
@@ -22,61 +21,83 @@ fn write_or_passthrough(path: &str, text: String, what: &str) -> Result<String, 
     Ok(String::new())
 }
 
-/// Writes a pretty-printed [`whart_obs::MetricsSnapshot`] to `path`
-/// (`-` returns it for stdout).
-pub fn write_metrics(path: &str, metrics: &Metrics) -> Result<String, String> {
-    let mut text = metrics.snapshot().to_json().to_pretty();
-    text.push('\n');
-    write_or_passthrough(path, text, "metrics")
+/// Where a command's instrumentation artifacts go: the `--metrics`,
+/// `--trace` and `--profile` destinations (`-` is stdout) and the
+/// `--profile-hz` sampling rate.
+#[derive(Debug, Clone, Default)]
+pub struct Artifacts {
+    /// Metrics snapshot destination.
+    pub metrics: Option<String>,
+    /// Trace journal destination: JSON Lines when it ends in `.jsonl`
+    /// or is `-`, Chrome `trace_event` JSON otherwise.
+    pub trace: Option<String>,
+    /// Sampled profile destination: per-thread JSON when it ends in
+    /// `.json`, flamegraph collapsed-stack text otherwise.
+    pub profile: Option<String>,
+    /// Sampling rate of the profile capture.
+    pub profile_hz: u32,
 }
 
-/// Serializes a drained trace journal to `path`: JSON Lines when the
-/// path ends in `.jsonl` or is `-` (stdout), Chrome `trace_event` JSON
-/// (Perfetto / `chrome://tracing` loadable) otherwise.
-pub fn write_trace(path: &str, trace: &Trace) -> Result<String, String> {
-    let log = trace.drain();
-    let text = if path == "-" || path.ends_with(".jsonl") {
-        log.to_jsonl()
-    } else {
-        let mut text = log.to_chrome_json().to_pretty();
-        text.push('\n');
-        text
-    };
-    write_or_passthrough(path, text, "trace")
-}
-
-/// The trace handle for an optional `--trace` argument: enabled exactly
-/// when a destination was given.
-pub fn trace_for(trace_path: Option<&str>) -> Trace {
-    match trace_path {
-        Some(_) => Trace::new(),
-        None => Trace::disabled(),
+impl Artifacts {
+    /// Instruments enabling exactly the sinks that have a destination
+    /// (an absent flag keeps its sites on the disabled path), plus the
+    /// profile capture, already running when `--profile` was given.
+    pub fn record(&self) -> (Instruments, Option<Capture>) {
+        let instruments = Instruments {
+            metrics: match self.metrics {
+                Some(_) => Metrics::new(),
+                None => Metrics::disabled(),
+            },
+            trace: match self.trace {
+                Some(_) => Trace::new(),
+                None => Trace::disabled(),
+            },
+            profiler: match self.profile {
+                Some(_) => Profiler::new(),
+                None => Profiler::disabled(),
+            },
+        };
+        let capture = instruments.profiler.start_capture(self.profile_hz);
+        (instruments, capture)
     }
-}
 
-/// The profiler handle for an optional `--profile` argument: enabled
-/// exactly when a destination was given, so an absent flag keeps every
-/// instrumented site on the zero-cost disabled path.
-pub fn profiler_for(profile_path: Option<&str>) -> Profiler {
-    match profile_path {
-        Some(_) => Profiler::new(),
-        None => Profiler::disabled(),
+    /// Writes every artifact that has a destination, in the order
+    /// metrics, trace, profile; returns what goes to stdout (`-`).
+    pub fn write(
+        &self,
+        instruments: &Instruments,
+        capture: Option<Capture>,
+    ) -> Result<String, String> {
+        let mut out = String::new();
+        if let Some(path) = &self.metrics {
+            let mut text = instruments.metrics.snapshot().to_json().to_pretty();
+            text.push('\n');
+            out.push_str(&write_or_passthrough(path, text, "metrics")?);
+        }
+        if let Some(path) = &self.trace {
+            let log = instruments.trace.drain();
+            let text = if path == "-" || path.ends_with(".jsonl") {
+                log.to_jsonl()
+            } else {
+                let mut text = log.to_chrome_json().to_pretty();
+                text.push('\n');
+                text
+            };
+            out.push_str(&write_or_passthrough(path, text, "trace")?);
+        }
+        if let (Some(path), Some(capture)) = (&self.profile, capture) {
+            let profile = capture.stop();
+            let text = if path != "-" && path.ends_with(".json") {
+                let mut text = profile.to_json().to_pretty();
+                text.push('\n');
+                text
+            } else {
+                profile.to_folded()
+            };
+            out.push_str(&write_or_passthrough(path, text, "profile")?);
+        }
+        Ok(out)
     }
-}
-
-/// Serializes a stopped capture to `path`: per-thread JSON when the path
-/// ends in `.json`, flamegraph collapsed-stack text (`a;b;c N` lines,
-/// `flamegraph.pl` / speedscope loadable) otherwise. `-` returns the
-/// text for stdout.
-pub fn write_profile(path: &str, profile: &whart_prof::Profile) -> Result<String, String> {
-    let text = if path != "-" && path.ends_with(".json") {
-        let mut text = profile.to_json().to_pretty();
-        text.push('\n');
-        text
-    } else {
-        profile.to_folded()
-    };
-    write_or_passthrough(path, text, "profile")
 }
 
 /// The solver backend selected on the command line (`--backend`) or in a
@@ -134,53 +155,28 @@ impl Backend {
 }
 
 /// Runs `analyze`: per-path measures and network aggregates, solved
-/// through the selected backend. With `metrics_path`, solver timings
-/// and counters are recorded and written there as snapshot JSON; with
-/// `trace_path`, the structured event journal (per-path solve spans,
-/// per-hop provenance) is recorded and written there; with
-/// `profile_path`, the whole command runs under a `profile_hz` sampling
-/// capture and the folded profile is written there.
+/// through the selected backend, recording into the sinks `artifacts`
+/// names and writing their artifacts afterwards.
 pub fn analyze(
     spec: &NetworkSpec,
     json: bool,
     backend: &Backend,
-    metrics_path: Option<&str>,
-    trace_path: Option<&str>,
-    profile_path: Option<&str>,
-    profile_hz: u32,
+    artifacts: &Artifacts,
 ) -> Result<String, String> {
     let model = spec.to_model()?;
     let problem = model.compile().map_err(|e| e.to_string())?;
-    let metrics = match metrics_path {
-        Some(_) => Metrics::new(),
-        None => Metrics::disabled(),
-    };
-    let trace = trace_for(trace_path);
-    let profiler = profiler_for(profile_path);
-    let capture = profiler.start_capture(profile_hz);
-    let solve_frame = profiler.frame(&format!("solver.{}", backend.solver().name()));
+    let (instruments, capture) = artifacts.record();
     let eval = {
-        let _analyze = profiler.enter(profiler.frame("cli.analyze"));
-        let _solve = profiler.enter(solve_frame);
+        let _analyze = instruments.span_with(SpanNames::frame("cli.analyze"));
         solve_network_with(
             backend.solver().as_ref(),
             &problem,
             MeasurePlan::default(),
-            &metrics,
-            &trace,
+            &instruments,
         )
         .map_err(|e| e.to_string())?
     };
-    let mut appended = String::new();
-    if let Some(path) = metrics_path {
-        appended.push_str(&write_metrics(path, &metrics)?);
-    }
-    if let Some(path) = trace_path {
-        appended.push_str(&write_trace(path, &trace)?);
-    }
-    if let (Some(path), Some(capture)) = (profile_path, capture) {
-        appended.push_str(&write_profile(path, &capture.stop())?);
-    }
+    let appended = artifacts.write(&instruments, capture)?;
     let mut out = render_analyze(json, backend, &eval);
     out.push_str(&appended);
     Ok(out)
@@ -584,15 +580,8 @@ pub struct OptimizeOptions {
     /// Write the optimized network as an `analyze`/`batch`-compatible
     /// spec to this path (`-` appends it to stdout).
     pub emit_spec: Option<String>,
-    /// Metrics snapshot destination.
-    pub metrics_path: Option<String>,
-    /// Trace journal destination.
-    pub trace_path: Option<String>,
-    /// Sampled profile destination (`.json` for per-thread JSON, anything
-    /// else for folded stacks).
-    pub profile_path: Option<String>,
-    /// Sampling frequency for `profile_path` captures.
-    pub profile_hz: u32,
+    /// Instrumentation artifact destinations.
+    pub artifacts: Artifacts,
 }
 
 /// Runs `optimize`: generates a seeded random mesh, builds the greedy
@@ -601,17 +590,9 @@ pub struct OptimizeOptions {
 /// spec for `analyze`/`batch` what-if follow-ups.
 pub fn optimize(options: &OptimizeOptions) -> Result<String, String> {
     let net = whart_opt::generate(&options.generator).map_err(|e| e.to_string())?;
-    let metrics = match options.metrics_path {
-        Some(_) => Metrics::new(),
-        None => Metrics::disabled(),
-    };
-    let trace = trace_for(options.trace_path.as_deref());
-    let profiler = profiler_for(options.profile_path.as_deref());
-    let capture = profiler.start_capture(options.profile_hz);
+    let (instruments, capture) = options.artifacts.record();
     let mut engine = whart_engine::Engine::new(options.threads);
-    engine.set_metrics(metrics.clone());
-    engine.set_trace(trace.clone());
-    engine.set_profiler(profiler);
+    engine.set_instruments(instruments.clone());
     let result =
         whart_opt::optimize(&mut engine, &net, &options.search).map_err(|e| e.to_string())?;
 
@@ -623,15 +604,7 @@ pub fn optimize(options: &OptimizeOptions) -> Result<String, String> {
         }
         appended.push_str(&write_or_passthrough(path, text, "spec")?);
     }
-    if let Some(path) = &options.metrics_path {
-        appended.push_str(&write_metrics(path, &metrics)?);
-    }
-    if let Some(path) = &options.trace_path {
-        appended.push_str(&write_trace(path, &trace)?);
-    }
-    if let (Some(path), Some(capture)) = (&options.profile_path, capture) {
-        appended.push_str(&write_profile(path, &capture.stop())?);
-    }
+    appended.push_str(&options.artifacts.write(&instruments, capture)?);
     let mut out = if options.json {
         let mut text = result.to_json().to_pretty();
         if !text.ends_with('\n') {
@@ -732,16 +705,7 @@ mod tests {
     #[test]
     fn analyze_typical_text_output() {
         let spec = NetworkSpec::typical(0.83);
-        let out = analyze(
-            &spec,
-            false,
-            &Backend::Fast,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let out = analyze(&spec, false, &Backend::Fast, &Artifacts::default()).unwrap();
         assert!(out.contains("overall mean delay E[Gamma] = 235"), "{out}");
         assert!(out.contains("network utilization U = 0.28"), "{out}");
         assert!(out.lines().count() >= 13);
@@ -752,16 +716,7 @@ mod tests {
     #[test]
     fn analyze_json_output_parses() {
         let spec = NetworkSpec::section_v(0.75);
-        let out = analyze(
-            &spec,
-            true,
-            &Backend::Fast,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let out = analyze(&spec, true, &Backend::Fast, &Artifacts::default()).unwrap();
         let value = Json::parse(&out).unwrap();
         let r = value["paths"][0]["reachability"].as_f64().unwrap();
         assert!((r - 0.9624).abs() < 1e-4);
@@ -771,16 +726,7 @@ mod tests {
     #[test]
     fn analyze_report_is_byte_identical_with_profiling_enabled() {
         let spec = NetworkSpec::section_v(0.75);
-        let plain = analyze(
-            &spec,
-            true,
-            &Backend::Fast,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let plain = analyze(&spec, true, &Backend::Fast, &Artifacts::default()).unwrap();
         let dir = std::env::temp_dir().join(format!("whart-prof-parity-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let out_path = dir.join("analyze.folded");
@@ -788,10 +734,11 @@ mod tests {
             &spec,
             true,
             &Backend::Fast,
-            None,
-            None,
-            Some(out_path.to_str().unwrap()),
-            whart_prof::DEFAULT_HZ,
+            &Artifacts {
+                profile: Some(out_path.to_str().unwrap().to_owned()),
+                profile_hz: whart_trace::DEFAULT_HZ,
+                ..Artifacts::default()
+            },
         )
         .unwrap();
         // The sampler only observes; the report must not change by a byte.
@@ -799,33 +746,15 @@ mod tests {
         // The artifact exists and is valid folded text (possibly empty:
         // one fast solve can finish between sampler ticks).
         let folded = std::fs::read_to_string(&out_path).unwrap();
-        whart_prof::parse_folded(&folded).unwrap();
+        whart_trace::parse_folded(&folded).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn analyze_explicit_backend_matches_fast() {
         let spec = NetworkSpec::section_v(0.75);
-        let fast = analyze(
-            &spec,
-            true,
-            &Backend::Fast,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
-        let explicit = analyze(
-            &spec,
-            true,
-            &Backend::Explicit,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let fast = analyze(&spec, true, &Backend::Fast, &Artifacts::default()).unwrap();
+        let explicit = analyze(&spec, true, &Backend::Explicit, &Artifacts::default()).unwrap();
         let f = Json::parse(&fast).unwrap();
         let e = Json::parse(&explicit).unwrap();
         assert_eq!(e["backend"].as_str().unwrap(), "explicit");
@@ -841,27 +770,9 @@ mod tests {
             seed: 7,
             intervals: 50_000,
         };
-        let out = analyze(
-            &spec,
-            false,
-            &backend,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let out = analyze(&spec, false, &backend, &Artifacts::default()).unwrap();
         assert!(out.starts_with("backend: sim (seed 7"), "{out}");
-        let json = analyze(
-            &spec,
-            true,
-            &backend,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let json = analyze(&spec, true, &backend, &Artifacts::default()).unwrap();
         let value = Json::parse(&json).unwrap();
         assert_eq!(value["backend"].as_str().unwrap(), "sim");
         let r = value["paths"][0]["reachability"].as_f64().unwrap();
@@ -984,10 +895,7 @@ mod tests {
             threads: 2,
             json: true,
             emit_spec: Some("-".into()),
-            metrics_path: None,
-            trace_path: None,
-            profile_path: None,
-            profile_hz: whart_prof::DEFAULT_HZ,
+            artifacts: Artifacts::default(),
         };
         let out = optimize(&options).unwrap();
         // Two pretty JSON documents: the report, then the emitted spec.

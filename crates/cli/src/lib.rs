@@ -130,18 +130,22 @@ fn reject_stdout_interleave(streams: &[(&str, Option<&str>)]) -> Result<(), Stri
     Ok(())
 }
 
-/// The artifact-stream trio every profiling-capable command shares:
-/// any two of `--metrics`/`--trace`/`--profile` on stdout interleave.
-fn reject_artifact_stdout(
-    metrics: Option<&str>,
-    trace: Option<&str>,
-    profile: Option<&str>,
-) -> Result<(), String> {
+/// The artifact flags every profiling-capable command shares:
+/// `--metrics`, `--trace`, `--profile` and `--profile-hz`. Any two of
+/// the three streams on stdout would interleave.
+fn parse_artifacts(args: &[String]) -> Result<commands::Artifacts, String> {
+    let artifacts = commands::Artifacts {
+        metrics: flag_value(args, "--metrics")?,
+        trace: flag_value(args, "--trace")?,
+        profile: flag_value(args, "--profile")?,
+        profile_hz: parse_profile_hz(args)?,
+    };
     reject_stdout_interleave(&[
-        ("--metrics", metrics),
-        ("--trace", trace),
-        ("--profile", profile),
-    ])
+        ("--metrics", artifacts.metrics.as_deref()),
+        ("--trace", artifacts.trace.as_deref()),
+        ("--profile", artifacts.profile.as_deref()),
+    ])?;
+    Ok(artifacts)
 }
 
 /// Largest accepted sampling rate: comfortably above useful resolution,
@@ -149,10 +153,10 @@ fn reject_artifact_stdout(
 /// loop.
 const MAX_PROFILE_HZ: u32 = 50_000;
 
-/// Parses `--profile-hz` (default [`whart_prof::DEFAULT_HZ`]), bounding
+/// Parses `--profile-hz` (default [`whart_trace::DEFAULT_HZ`]), bounding
 /// it to `1..=`[`MAX_PROFILE_HZ`].
 fn parse_profile_hz(args: &[String]) -> Result<u32, String> {
-    let hz: u32 = parse_or(args, "--profile-hz", whart_prof::DEFAULT_HZ)?;
+    let hz: u32 = parse_or(args, "--profile-hz", whart_trace::DEFAULT_HZ)?;
     if hz == 0 {
         return Err("--profile-hz must be at least 1".into());
     }
@@ -181,33 +185,20 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let threads = parse_threads(args, "--threads")?;
-            let metrics = flag_value(args, "--metrics")?;
-            let trace = flag_value(args, "--trace")?;
-            let profile = flag_value(args, "--profile")?;
-            reject_artifact_stdout(metrics.as_deref(), trace.as_deref(), profile.as_deref())?;
-            batch::batch(
-                &text,
-                threads,
-                has_flag(args, "--stats"),
-                metrics.as_deref(),
-                trace.as_deref(),
-                profile.as_deref(),
-                parse_profile_hz(args)?,
-            )
+            let artifacts = parse_artifacts(args)?;
+            batch::batch(&text, threads, has_flag(args, "--stats"), &artifacts)
         }
         "serve" => {
-            let metrics = flag_value(args, "--metrics")?;
-            let trace = flag_value(args, "--trace")?;
+            let artifacts = parse_artifacts(args)?;
             let log = flag_value(args, "--log")?;
-            let profile = flag_value(args, "--profile")?;
             reject_stdout_interleave(&[
-                ("--metrics", metrics.as_deref()),
-                ("--trace", trace.as_deref()),
+                ("--metrics", artifacts.metrics.as_deref()),
+                ("--trace", artifacts.trace.as_deref()),
                 ("--log", log.as_deref()),
-                ("--profile", profile.as_deref()),
+                ("--profile", artifacts.profile.as_deref()),
             ])?;
             let log_level = match flag_value(args, "--log-level")? {
-                Some(v) => Some(whart_log::Level::parse(&v)?),
+                Some(v) => Some(whart_serve::Level::parse(&v)?),
                 None => None,
             };
             let positive_ms = |flag: &str| -> Result<Option<f64>, String> {
@@ -246,8 +237,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     Some(v) => Some(parse(&v, "--max-queue")?),
                     None => None,
                 },
-                metrics_path: metrics,
-                trace_path: trace,
+                artifacts,
                 cache_capacity: match flag_value(args, "--metrics-capacity")? {
                     Some(v) => Some(parse(&v, "--metrics-capacity")?),
                     None => None,
@@ -260,21 +250,15 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 log_level,
                 slo_target_ms,
                 flight_threshold_ms,
-                profile_path: profile,
-                profile_hz: parse_profile_hz(args)?,
             };
             serve_app::serve(options)
         }
         "optimize" => {
-            let metrics = flag_value(args, "--metrics")?;
-            let trace = flag_value(args, "--trace")?;
-            let profile = flag_value(args, "--profile")?;
-            reject_artifact_stdout(metrics.as_deref(), trace.as_deref(), profile.as_deref())?;
+            let artifacts = parse_artifacts(args)?;
             let emit_spec = flag_value(args, "--emit-spec")?;
+            let streams = [&artifacts.metrics, &artifacts.trace, &artifacts.profile];
             if emit_spec.as_deref() == Some("-")
-                && (metrics.as_deref() == Some("-")
-                    || trace.as_deref() == Some("-")
-                    || profile.as_deref() == Some("-"))
+                && streams.iter().any(|stream| stream.as_deref() == Some("-"))
             {
                 return Err("--emit-spec - shares stdout with another JSON stream and \
                      would interleave; give at least one of them a file path"
@@ -318,10 +302,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 threads: parse_threads(args, "--threads")?,
                 json: has_flag(args, "--json"),
                 emit_spec,
-                metrics_path: metrics,
-                trace_path: trace,
-                profile_path: profile,
-                profile_hz: parse_profile_hz(args)?,
+                artifacts,
             })
         }
         "analyze" | "explain" | "dot" | "simulate" | "predict" | "sensitivity" => {
@@ -335,23 +316,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     let seed = parse_or(args, "--seed", 42u64)?;
                     let intervals = parse_or(args, "--intervals", 100_000u64)?;
                     let backend = commands::Backend::parse(&name, seed, intervals)?;
-                    let metrics = flag_value(args, "--metrics")?;
-                    let trace = flag_value(args, "--trace")?;
-                    let profile = flag_value(args, "--profile")?;
-                    reject_artifact_stdout(
-                        metrics.as_deref(),
-                        trace.as_deref(),
-                        profile.as_deref(),
-                    )?;
-                    commands::analyze(
-                        &spec,
-                        has_flag(args, "--json"),
-                        &backend,
-                        metrics.as_deref(),
-                        trace.as_deref(),
-                        profile.as_deref(),
-                        parse_profile_hz(args)?,
-                    )
+                    let artifacts = parse_artifacts(args)?;
+                    commands::analyze(&spec, has_flag(args, "--json"), &backend, &artifacts)
                 }
                 "explain" => {
                     let name = flag_value(args, "--backend")?.unwrap_or_else(|| "fast".into());

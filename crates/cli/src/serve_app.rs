@@ -44,22 +44,20 @@
 //!   `--metrics`/`--trace` artifacts, exit.
 
 use crate::batch::{decode_fleet, result_line, stats_line, BatchEntry};
-use crate::commands::{
-    example, render_analyze, write_metrics, write_profile, write_trace, Backend,
-};
+use crate::commands::{example, render_analyze, Artifacts, Backend};
 use crate::spec::NetworkSpec;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use whart_engine::{Engine, MeasureSet, Scenario, ScenarioResult};
-use whart_log::{Level, Logger};
 use whart_model::{solve_network_with, MeasurePlan, NetworkModel};
 use whart_obs::prometheus::{self, DerivedGauge};
-use whart_obs::Metrics;
-use whart_prof::{Frame, Profiler, ResourceSampler};
+use whart_obs::{Metrics, ResourceSampler};
 use whart_serve::flight::{DEFAULT_RECENT, DEFAULT_SLOW};
 use whart_serve::windows::DEFAULT_WINDOW;
-use whart_serve::{FlightRecorder, HttpWindows, Request, Response, Router, Server, ServerConfig};
-use whart_trace::Trace;
+use whart_serve::{
+    FlightRecorder, HttpWindows, Level, Request, RequestLog, Response, Router, Server, ServerConfig,
+};
+use whart_trace::{Instruments, Profiler, SpanNames, Trace};
 
 /// `whart serve` command-line options.
 pub(crate) struct ServeOptions {
@@ -72,10 +70,11 @@ pub(crate) struct ServeOptions {
     /// Dispatch-queue capacity (`--max-queue`); requests beyond it are
     /// rejected with 503 + Retry-After.
     pub max_queue: Option<usize>,
-    /// Where to write the final metrics snapshot at shutdown.
-    pub metrics_path: Option<String>,
-    /// Where to write the final trace journal at shutdown.
-    pub trace_path: Option<String>,
+    /// Where to write the final metrics snapshot, trace journal and
+    /// whole-lifetime sampled profile at shutdown; the profile rate is
+    /// also the default for `/v1/debug/profile`, which works with or
+    /// without `--profile`.
+    pub artifacts: Artifacts,
     /// Engine path/link cache capacity bound (entries per layer).
     pub cache_capacity: Option<usize>,
     /// Trace journal capacity bound (retained events).
@@ -91,13 +90,6 @@ pub(crate) struct ServeOptions {
     /// Flight-recorder tail-sampling threshold, milliseconds
     /// (`--flight-threshold-ms`).
     pub flight_threshold_ms: Option<f64>,
-    /// Where to write a whole-lifetime sampled profile at shutdown
-    /// (`--profile`). The live `/v1/debug/profile` endpoint works with
-    /// or without this.
-    pub profile_path: Option<String>,
-    /// Sampling frequency for the lifetime capture, and the default for
-    /// `/v1/debug/profile` (`--profile-hz`).
-    pub profile_hz: u32,
 }
 
 /// Longest `/v1/debug/profile` capture one request may hold a worker
@@ -116,44 +108,23 @@ const DEFAULT_SLO_TARGET_MS: f64 = 5.0;
 const DEFAULT_FLIGHT_THRESHOLD_MS: f64 = 0.91;
 
 /// One engine per solver backend, find-or-created on first use. All
-/// engines share the service's metrics registry and trace journal, and
-/// their caches persist for the life of the process.
+/// engines share the service's instruments, and their caches persist
+/// for the life of the process.
 struct EngineStore {
     threads: usize,
     cache_capacity: Option<usize>,
-    metrics: Metrics,
-    trace: Trace,
-    profiler: Profiler,
+    instruments: Instruments,
     engines: Vec<(Backend, Engine)>,
 }
 
 impl EngineStore {
-    fn new(
-        threads: usize,
-        cache_capacity: Option<usize>,
-        metrics: Metrics,
-        trace: Trace,
-        profiler: Profiler,
-    ) -> EngineStore {
-        EngineStore {
-            threads,
-            cache_capacity,
-            metrics,
-            trace,
-            profiler,
-            engines: Vec::new(),
-        }
-    }
-
     /// The engine slot for `backend`, creating it on first use.
     fn slot(&mut self, backend: Backend) -> usize {
         if let Some(i) = self.engines.iter().position(|(b, _)| *b == backend) {
             return i;
         }
         let mut engine = Engine::with_solver(self.threads, backend.solver());
-        engine.set_metrics(self.metrics.clone());
-        engine.set_trace(self.trace.clone());
-        engine.set_profiler(self.profiler.clone());
+        engine.set_instruments(self.instruments.clone());
         engine.set_cache_capacities(self.cache_capacity, self.cache_capacity);
         self.engines.push((backend, engine));
         self.engines.len() - 1
@@ -170,6 +141,7 @@ impl EngineStore {
         request_id: &str,
     ) -> Result<(ScenarioResult, u64), String> {
         let _scope = self
+            .instruments
             .trace
             .context_scope([("request_id", request_id.into())]);
         let slot = self.slot(backend);
@@ -192,6 +164,7 @@ impl EngineStore {
         request_id: &str,
     ) -> Result<String, String> {
         let _scope = self
+            .instruments
             .trace
             .context_scope([("request_id", request_id.into())]);
         let measure_sets: Vec<MeasureSet> = entries.iter().map(|e| e.measures).collect();
@@ -261,27 +234,17 @@ fn memo_fingerprint(request: &Request) -> u64 {
     hasher.finish()
 }
 
-/// Handler-level activity frames, interned once at startup.
-#[derive(Clone, Copy)]
-struct ServeFrames {
-    analyze: Frame,
-    batch: Frame,
-    optimize: Frame,
-}
-
 /// Shared application state captured by every route handler.
 struct App {
-    metrics: Metrics,
-    trace: Trace,
-    log: Logger,
+    /// Metrics, trace journal and profiler, all enabled in serve mode;
+    /// the profiler is always on so `/v1/debug/profile` can capture
+    /// without a restart (between captures the sampler is parked and
+    /// frame pushes are two relaxed atomic stores).
+    instruments: Instruments,
+    log: RequestLog,
     windows: Arc<HttpWindows>,
     flight: FlightRecorder,
     started: Instant,
-    /// Always enabled in serve mode so `/v1/debug/profile` can capture
-    /// without a restart; between captures the sampler is parked and
-    /// frame pushes are two relaxed atomic stores.
-    profiler: Profiler,
-    frames: ServeFrames,
     /// Default `?hz=` for `/v1/debug/profile` (`--profile-hz`).
     profile_hz: u32,
     /// Background `/proc/self` reader behind the `process_*` gauges.
@@ -304,7 +267,10 @@ impl App {
         let entry = memo.iter().find(|e| {
             e.fingerprint == fingerprint && e.query == request.query && e.body == request.body
         })?;
-        self.metrics.counter("serve.analyze_memo.hits").increment();
+        self.instruments
+            .metrics
+            .counter("serve.analyze_memo.hits")
+            .increment();
         let response = if entry.json {
             Response::json(200, entry.rendered.clone())
         } else {
@@ -378,12 +344,15 @@ fn query_u64(request: &Request, key: &str, default: u64) -> Result<u64, String> 
 /// [`MemoEntry`] — so a repeated analysis replays the original bytes
 /// instead of re-solving.
 fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
-    let _frame = app.profiler.enter(app.frames.analyze);
+    let _frame = app.instruments.span_with(SpanNames::frame("serve.analyze"));
     let fingerprint = memo_fingerprint(request);
     if let Some(response) = app.memo_lookup(request, fingerprint) {
         return Ok(response);
     }
-    app.metrics.counter("serve.analyze_memo.misses").increment();
+    app.instruments
+        .metrics
+        .counter("serve.analyze_memo.misses")
+        .increment();
     let spec = NetworkSpec::from_json(request.body_text()?)?;
     let name = request.query_param("backend").unwrap_or("fast");
     let seed = query_u64(request, "seed", 42)?;
@@ -403,6 +372,7 @@ fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
     let (body, paths, hits) = match backend {
         Backend::Sim { .. } => {
             let _scope = app
+                .instruments
                 .trace
                 .context_scope([("request_id", request_id.as_str().into())]);
             let problem = model.compile().map_err(|e| e.to_string())?;
@@ -410,8 +380,7 @@ fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
                 backend.solver().as_ref(),
                 &problem,
                 MeasurePlan::default(),
-                &app.metrics,
-                &app.trace,
+                &app.instruments,
             )
             .map_err(|e| e.to_string())?;
             let paths = eval.reports().len();
@@ -441,7 +410,7 @@ fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
 
 /// `POST /v1/batch`: the `batch` pipeline against the persistent engines.
 fn batch_handler(app: &App, request: &Request) -> Result<Response, String> {
-    let _frame = app.profiler.enter(app.frames.batch);
+    let _frame = app.instruments.span_with(SpanNames::frame("serve.batch"));
     let entries = decode_fleet(request.body_text()?)?;
     let with_stats = matches!(request.query_param("stats"), Some("true") | Some("1"));
     let scenarios = entries.len();
@@ -477,7 +446,9 @@ fn batch_handler(app: &App, request: &Request) -> Result<Response, String> {
 /// monopolize the service; `?spec=true` wraps the report together with
 /// the optimized network's `analyze`/`batch`-compatible spec.
 fn optimize_handler(app: &App, request: &Request) -> Result<Response, String> {
-    let _frame = app.profiler.enter(app.frames.optimize);
+    let _frame = app
+        .instruments
+        .span_with(SpanNames::frame("serve.optimize"));
     let body = request.body_text()?;
     let value = if body.trim().is_empty() {
         whart_json::Json::object([] as [(&str, whart_json::Json); 0])
@@ -546,6 +517,7 @@ fn optimize_handler(app: &App, request: &Request) -> Result<Response, String> {
     let request_id = request.request_id().unwrap_or("-").to_owned();
     let mut store = app.store()?;
     let _scope = store
+        .instruments
         .trace
         .context_scope([("request_id", request_id.as_str().into())]);
     let slot = store.slot(Backend::Fast);
@@ -569,7 +541,7 @@ fn optimize_handler(app: &App, request: &Request) -> Result<Response, String> {
 
 /// `GET /v1/trace`: drains the shared journal.
 fn trace_handler(app: &App, request: &Request) -> Result<Response, String> {
-    let log = app.trace.drain();
+    let log = app.instruments.trace.drain();
     match request.query_param("format") {
         None | Some("jsonl") => {
             let mut response = Response::json(200, log.to_jsonl());
@@ -594,7 +566,7 @@ fn trace_handler(app: &App, request: &Request) -> Result<Response, String> {
 /// engine cache sizes (refreshed from the live engines), cache
 /// hit ratios, and request-latency quantiles from the log2 histograms.
 fn metrics_handler(app: &App) -> Result<Response, String> {
-    let snapshot = app.metrics.snapshot();
+    let snapshot = app.instruments.metrics.snapshot();
     let mut derived: Vec<DerivedGauge> = Vec::new();
     {
         let store = app.store()?;
@@ -694,7 +666,7 @@ fn metrics_handler(app: &App) -> Result<Response, String> {
 /// connection health, as a plain-text page for humans and smoke tests.
 fn statusz_handler(app: &App) -> Result<Response, String> {
     use std::fmt::Write as _;
-    let snapshot = app.metrics.snapshot();
+    let snapshot = app.instruments.metrics.snapshot();
     let requests_total: u64 = snapshot
         .counters
         .iter()
@@ -826,6 +798,7 @@ fn debug_profile_handler(app: &App, request: &Request) -> Result<Response, Strin
         }
     };
     let capture = app
+        .instruments
         .profiler
         .start_capture(hz as u32)
         .ok_or("profiler is not attached")?;
@@ -911,11 +884,18 @@ fn self_check(app: &App) -> Result<(), String> {
 /// stdout.
 pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
     let threads = options.threads.max(1);
-    let metrics = Metrics::new();
-    let trace = match options.trace_capacity {
-        Some(capacity) => Trace::with_capacity(capacity),
-        None => Trace::new(),
+    // The profiler rides along for the whole process lifetime so the
+    // debug endpoint can capture at any moment; an explicit `--profile`
+    // additionally runs one lifetime capture written at shutdown.
+    let instruments = Instruments {
+        metrics: Metrics::new(),
+        trace: match options.trace_capacity {
+            Some(capacity) => Trace::with_capacity(capacity),
+            None => Trace::new(),
+        },
+        profiler: Profiler::new(),
     };
+    let artifacts = &options.artifacts;
     let defaults = ServerConfig::default();
     let mut server = Server::bind(&ServerConfig {
         addr: options.addr.clone(),
@@ -928,11 +908,10 @@ pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
     })
     .map_err(|e| format!("cannot bind {}: {e}", options.addr))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    server.set_metrics(metrics.clone());
-    server.set_trace(trace.clone());
+    server.set_instruments(instruments.clone());
     let log = match &options.log_path {
-        Some(target) => Logger::for_target(target, options.log_level.unwrap_or(Level::Info))?,
-        None => Logger::disabled(),
+        Some(target) => RequestLog::open(target, options.log_level.unwrap_or(Level::Info))?,
+        None => RequestLog::default(),
     };
     let slo_target_ms = options.slo_target_ms.unwrap_or(DEFAULT_SLO_TARGET_MS);
     let flight_threshold_ms = options
@@ -950,37 +929,24 @@ pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
     server.set_log(log.clone());
     server.set_windows(Arc::clone(&windows));
     server.set_flight(flight.clone());
-    // The profiler rides along for the whole process lifetime so the
-    // debug endpoint can capture at any moment; an explicit `--profile`
-    // additionally runs one lifetime capture written at shutdown.
-    let profiler = Profiler::new();
-    let lifetime_capture = options
-        .profile_path
+    let lifetime_capture = artifacts
+        .profile
         .as_ref()
-        .and_then(|_| profiler.start_capture(options.profile_hz));
-    let frames = ServeFrames {
-        analyze: profiler.frame("serve.analyze"),
-        batch: profiler.frame("serve.batch"),
-        optimize: profiler.frame("serve.optimize"),
-    };
+        .and_then(|_| instruments.profiler.start_capture(artifacts.profile_hz));
     let app = Arc::new(App {
-        metrics: metrics.clone(),
-        trace: trace.clone(),
+        instruments: instruments.clone(),
         log: log.clone(),
         windows,
         flight,
         started: Instant::now(),
-        profiler: profiler.clone(),
-        frames,
-        profile_hz: options.profile_hz,
+        profile_hz: artifacts.profile_hz,
         resources: ResourceSampler::spawn(RESOURCE_PERIOD),
-        engines: Mutex::new(EngineStore::new(
+        engines: Mutex::new(EngineStore {
             threads,
-            options.cache_capacity,
-            metrics.clone(),
-            trace.clone(),
-            profiler,
-        )),
+            cache_capacity: options.cache_capacity,
+            instruments: instruments.clone(),
+            engines: Vec::new(),
+        }),
         analyze_memo: Mutex::new(std::collections::VecDeque::new()),
     });
     server.set_router(build_router(&app, server.shutdown()));
@@ -996,32 +962,28 @@ pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
     // The address goes to stderr so stdout stays clean for the final
     // artifacts (tests and scripts parse the port from this line).
     eprintln!("whart serve: listening on http://{addr} ({threads} worker threads)");
-    log.event(Level::Info, "server_listening")
-        .field("addr", addr.to_string())
-        .field("threads", threads as u64)
-        .emit();
-    log.flush();
+    log.write(
+        Level::Info,
+        "server_listening",
+        [
+            ("addr", addr.to_string().into()),
+            ("threads", (threads as u64).into()),
+        ],
+    );
     server.serve().map_err(|e| format!("serve failed: {e}"))?;
-    let snapshot = metrics.snapshot();
+    let snapshot = instruments.metrics.snapshot();
     let requests: u64 = snapshot
         .counters
         .iter()
         .filter(|(name, _)| name.starts_with("http.requests_total"))
         .map(|(_, count)| count)
         .sum();
-    log.event(Level::Info, "server_drained")
-        .field("requests", requests)
-        .emit();
-    log.flush();
+    log.write(
+        Level::Info,
+        "server_drained",
+        [("requests", requests.into())],
+    );
     let mut out = format!("whart serve: drained after {requests} requests\n");
-    if let Some(path) = &options.metrics_path {
-        out.push_str(&write_metrics(path, &metrics)?);
-    }
-    if let Some(path) = &options.trace_path {
-        out.push_str(&write_trace(path, &trace)?);
-    }
-    if let (Some(path), Some(capture)) = (&options.profile_path, lifetime_capture) {
-        out.push_str(&write_profile(path, &capture.stop())?);
-    }
+    out.push_str(&artifacts.write(&instruments, lifetime_capture)?);
     Ok(out)
 }

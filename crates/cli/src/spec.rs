@@ -278,6 +278,42 @@ pub struct NetworkSpec {
     pub schedule: ScheduleSpec,
 }
 
+/// Largest accepted `uplink_slots` and `downlink_slots`.
+pub const MAX_FRAME_SLOTS: u32 = 4096;
+
+/// Largest accepted `reporting_interval` (cycles per interval).
+pub const MAX_REPORTING_INTERVAL: u32 = 64;
+
+/// Largest accepted number of uplink slots per reporting interval,
+/// `reporting_interval * uplink_slots`: the message TTL, which every
+/// solver's time and memory grow with.
+pub const MAX_INTERVAL_SLOTS: u64 = 32_768;
+
+/// A spec field beyond its fixed bound. The bounds keep every accepted
+/// spec solvable in bounded time and memory, so no request body can
+/// abort or stall a process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpecTooLarge {
+    /// The field over its bound.
+    pub field: &'static str,
+    /// Its value.
+    pub value: u64,
+    /// The bound.
+    pub max: u64,
+}
+
+impl std::fmt::Display for SpecTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "'{}' is {}, above the limit of {}",
+            self.field, self.value, self.max
+        )
+    }
+}
+
+impl std::error::Error for SpecTooLarge {}
+
 pub(crate) fn node(n: u32) -> NodeId {
     if n == 0 {
         NodeId::Gateway
@@ -338,7 +374,7 @@ impl NetworkSpec {
             .iter()
             .map(|route| u32_array(route, "paths"))
             .collect::<Result<Vec<_>, String>>()?;
-        Ok(NetworkSpec {
+        let spec = NetworkSpec {
             uplink_slots: value.require_u32("uplink_slots")?,
             downlink_slots,
             reporting_interval,
@@ -346,7 +382,44 @@ impl NetworkSpec {
             links,
             paths,
             schedule: ScheduleSpec::from_json(value.require("schedule")?)?,
-        })
+        };
+        spec.check_bounds().map_err(|e| e.to_string())?;
+        Ok(spec)
+    }
+
+    /// Checks the frame and interval sizes against [`MAX_FRAME_SLOTS`],
+    /// [`MAX_REPORTING_INTERVAL`] and [`MAX_INTERVAL_SLOTS`].
+    ///
+    /// # Errors
+    ///
+    /// The first field over its bound.
+    pub fn check_bounds(&self) -> Result<(), SpecTooLarge> {
+        let bounds = [
+            (
+                "uplink_slots",
+                u64::from(self.uplink_slots),
+                u64::from(MAX_FRAME_SLOTS),
+            ),
+            (
+                "downlink_slots",
+                u64::from(self.downlink_slots.unwrap_or(0)),
+                u64::from(MAX_FRAME_SLOTS),
+            ),
+            (
+                "reporting_interval",
+                u64::from(self.reporting_interval),
+                u64::from(MAX_REPORTING_INTERVAL),
+            ),
+            (
+                "reporting_interval * uplink_slots",
+                u64::from(self.reporting_interval) * u64::from(self.uplink_slots),
+                MAX_INTERVAL_SLOTS,
+            ),
+        ];
+        match bounds.into_iter().find(|&(_, value, max)| value > max) {
+            Some((field, value, max)) => Err(SpecTooLarge { field, value, max }),
+            None => Ok(()),
+        }
     }
 
     /// Encodes the spec as a JSON value (field order matches the struct).
@@ -614,6 +687,23 @@ mod tests {
         assert!(NetworkSpec::from_json("{").is_err());
         // Structurally valid JSON, wrong shape.
         assert!(NetworkSpec::from_json(r#"{"uplink_slots": "seven"}"#).is_err());
+        // Oversized frames and intervals are refused before anything is
+        // allocated for them.
+        let mut spec = NetworkSpec::section_v(0.75);
+        spec.uplink_slots = 1_000_000_000;
+        let err = spec.check_bounds().unwrap_err();
+        assert_eq!((err.field, err.max), ("uplink_slots", 4096));
+        let mut spec = NetworkSpec::section_v(0.75);
+        spec.reporting_interval = 4_000_000_000;
+        assert_eq!(spec.check_bounds().unwrap_err().field, "reporting_interval");
+        let err = NetworkSpec::from_json(&spec.to_json()).unwrap_err();
+        assert!(err.contains("above the limit of 64"), "{err}");
+        let mut spec = NetworkSpec::section_v(0.75);
+        spec.uplink_slots = 4096;
+        spec.reporting_interval = 16;
+        let err = spec.check_bounds().unwrap_err();
+        assert_eq!(err.field, "reporting_interval * uplink_slots");
+        assert!(NetworkSpec::typical(0.83).check_bounds().is_ok());
         assert!(NetworkSpec::from_json(r#"{"uplink_slots": 7}"#).is_err());
     }
 

@@ -431,6 +431,24 @@ fn deeply_nested_body_is_a_client_error_not_a_crash() {
 }
 
 #[test]
+fn oversized_spec_is_a_client_error_not_a_crash() {
+    let serve = spawn_serve(&[]);
+    await_ready(&serve.addr);
+    // A reporting interval this long once asked the solver for a 32 GB
+    // allocation and killed the process.
+    let spec = section_v_spec().replace(
+        "\"reporting_interval\": 4",
+        "\"reporting_interval\": 4000000000",
+    );
+    assert!(spec.contains("4000000000"), "{spec}");
+    let (status, body) = http(&serve.addr, "POST", "/v1/analyze", &spec);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("above the limit"), "{body}");
+    let (status, _) = http(&serve.addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "the server survives the request");
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_work_and_writes_final_artifacts() {
     let dir = std::env::temp_dir().join("whart-serve-shutdown-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -757,7 +775,7 @@ fn debug_profile_captures_live_and_process_gauges_are_exposed() {
             "",
         );
         assert_eq!(status, 200, "{folded}");
-        let stacks = whart_prof::parse_folded(&folded).expect("folded output parses");
+        let stacks = whart_trace::parse_folded(&folded).expect("folded output parses");
         last = folded;
         if stacks
             .iter()

@@ -17,6 +17,14 @@ pub enum ModelError {
         /// Explanation of the defect.
         reason: String,
     },
+    /// The explicit chain is too large for the dense absorbing-state
+    /// solve (its time grows with the cube of the state count).
+    ChainTooLarge {
+        /// States the chain would have.
+        states: usize,
+        /// The solver's bound.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -26,6 +34,11 @@ impl fmt::Display for ModelError {
             ModelError::Channel(e) => write!(f, "channel error: {e}"),
             ModelError::Net(e) => write!(f, "network error: {e}"),
             ModelError::Inconsistent { reason } => write!(f, "inconsistent model: {reason}"),
+            ModelError::ChainTooLarge { states, limit } => write!(
+                f,
+                "explicit chain too large: {states} states, above the limit of {limit}; \
+                 use the fast or sim backend"
+            ),
         }
     }
 }
@@ -36,7 +49,7 @@ impl std::error::Error for ModelError {
             ModelError::Dtmc(e) => Some(e),
             ModelError::Channel(e) => Some(e),
             ModelError::Net(e) => Some(e),
-            ModelError::Inconsistent { .. } => None,
+            ModelError::Inconsistent { .. } | ModelError::ChainTooLarge { .. } => None,
         }
     }
 }

@@ -27,7 +27,7 @@
 //!   retention is opt-in.
 
 use crate::dynamics::LinkDynamics;
-use crate::error::Result;
+use crate::error::{ModelError, Result};
 use crate::explicit::explicit_chain_of;
 use crate::network::{NetworkEvaluation, PathReport};
 use crate::path::{
@@ -38,8 +38,7 @@ use std::sync::Arc;
 use whart_channel::{ber_from_failure_probability, Modulation, WIRELESSHART_MESSAGE_BITS};
 use whart_dtmc::Pmf;
 use whart_net::{NodeId, Path, ReportingInterval, Superframe};
-use whart_obs::Metrics;
-use whart_trace::{ArgValue, Trace};
+use whart_trace::{ArgValue, Instruments, SpanNames, Trace};
 
 /// Which optional artifacts a solve should materialize.
 ///
@@ -310,18 +309,17 @@ impl NetworkProblem {
 /// The instrumentation a solve reports into, plus the solved path's
 /// position in its network.
 ///
-/// With both handles disabled a solve behaves exactly like an
-/// uninstrumented one: bit-identical results, no clock reads.
+/// With every sink disabled a solve behaves exactly like an
+/// uninstrumented one: bit-identical results.
 #[derive(Clone, Copy)]
 pub struct SolveContext<'a> {
-    /// Metrics sink: every backend times the solve into the
-    /// `solver.<name>.solve_ns` histogram, plus backend-specific work
-    /// counters (transient steps, chain sizes, Monte-Carlo draws).
-    pub metrics: &'a Metrics,
-    /// Provenance journal: a `path_solve` span per solve plus
-    /// backend-specific events (per-hop link provenance, per-cycle
-    /// transition mass, chain sizes, Monte-Carlo seeds).
-    pub trace: &'a Trace,
+    /// Where the solve reports: every backend opens one span per solve —
+    /// trace event `path_solve` in `solver.<name>`, profiler frame
+    /// `solver.<name>`, histogram `solver.<name>.solve_ns` — plus
+    /// backend-specific work counters (transient steps, chain sizes,
+    /// Monte-Carlo draws) and provenance events (per-hop link
+    /// provenance, per-cycle transition mass, Monte-Carlo seeds).
+    pub instruments: &'a Instruments,
     /// The path's 0-based index in its network (0 for a lone path).
     /// Monte-Carlo derives its per-path seed stream from it; the
     /// analytical backends ignore it.
@@ -330,10 +328,9 @@ pub struct SolveContext<'a> {
 
 impl<'a> SolveContext<'a> {
     /// A context for the path at index 0.
-    pub fn new(metrics: &'a Metrics, trace: &'a Trace) -> SolveContext<'a> {
+    pub fn new(instruments: &'a Instruments) -> SolveContext<'a> {
         SolveContext {
-            metrics,
-            trace,
+            instruments,
             index: 0,
         }
     }
@@ -393,8 +390,7 @@ pub trait Solver: Send + Sync {
     ///
     /// As [`Solver::solve`].
     fn solve_path(&self, problem: &PathProblem, plan: MeasurePlan) -> Result<PathEvaluation> {
-        let (metrics, trace) = (Metrics::disabled(), Trace::disabled());
-        self.solve(problem, plan, &SolveContext::new(&metrics, &trace))
+        self.solve(problem, plan, &SolveContext::new(&Instruments::default()))
     }
 
     /// Solves a compiled network problem path by path without
@@ -408,13 +404,7 @@ pub trait Solver: Send + Sync {
         problem: &NetworkProblem,
         plan: MeasurePlan,
     ) -> Result<NetworkEvaluation> {
-        solve_network_with(
-            self,
-            problem,
-            plan,
-            &Metrics::disabled(),
-            &Trace::disabled(),
-        )
+        solve_network_with(self, problem, plan, &Instruments::default())
     }
 }
 
@@ -428,8 +418,7 @@ pub fn solve_network_with<S: Solver + ?Sized>(
     solver: &S,
     problem: &NetworkProblem,
     plan: MeasurePlan,
-    metrics: &Metrics,
-    trace: &Trace,
+    instruments: &Instruments,
 ) -> Result<NetworkEvaluation> {
     let reports = problem
         .paths()
@@ -438,8 +427,7 @@ pub fn solve_network_with<S: Solver + ?Sized>(
         .enumerate()
         .map(|(index, (path, p))| {
             let ctx = SolveContext {
-                metrics,
-                trace,
+                instruments,
                 index: index as u64,
             };
             Ok(PathReport {
@@ -527,12 +515,15 @@ impl Solver for FastSolver {
         plan: MeasurePlan,
         ctx: &SolveContext<'_>,
     ) -> Result<PathEvaluation> {
-        let trace = ctx.trace;
-        let mut span = trace.span("path_solve", "solver.fast");
+        let trace = &ctx.instruments.trace;
+        let mut span = ctx.instruments.span_with(
+            SpanNames::event("solver.fast", "path_solve")
+                .with_frame("solver.fast")
+                .with_histogram("solver.fast.solve_ns"),
+        );
         let mut tally = span
             .is_recording()
             .then(|| HopTally::new(problem.hop_count()));
-        let timer = ctx.metrics.timer("solver.fast.solve_ns");
         let (evaluation, steps) = match &mut tally {
             None => fast_evaluate_counted(problem, plan),
             Some(tally) => fast_evaluate_observed(problem, plan, |event| {
@@ -540,8 +531,8 @@ impl Solver for FastSolver {
                 trace_step(&event, trace);
             }),
         };
-        timer.stop();
-        ctx.metrics
+        ctx.instruments
+            .metrics
             .counter("solver.fast.transient_steps")
             .add(steps);
         if let Some(tally) = tally {
@@ -590,6 +581,12 @@ fn trace_step(event: &StepEvent<'_>, trace: &Trace) {
     }
 }
 
+/// Largest chain [`ExplicitSolver`] solves: the dense absorbing-state
+/// solve takes about 2 s and 130 MB at this size (measured on a 2-core
+/// x86-64 host), and grows with the
+/// cube of the state count beyond it.
+pub const MAX_EXPLICIT_STATES: usize = 4096;
+
 /// The reference backend: Algorithm 1's explicit unrolled DTMC (Figs.
 /// 4-5), solved by absorbing-state analysis. Slower than [`FastSolver`]
 /// but independent of the transient iteration, so it serves as the exact
@@ -613,22 +610,31 @@ impl Solver for ExplicitSolver {
         _plan: MeasurePlan,
         ctx: &SolveContext<'_>,
     ) -> Result<PathEvaluation> {
-        let mut span = ctx.trace.span("path_solve", "solver.explicit");
-        let timer = ctx.metrics.timer("solver.explicit.solve_ns");
+        let mut span = ctx.instruments.span_with(
+            SpanNames::event("solver.explicit", "path_solve")
+                .with_frame("solver.explicit")
+                .with_histogram("solver.explicit.solve_ns"),
+        );
+        let metrics = &ctx.instruments.metrics;
         let chain = explicit_chain_of(problem);
-        ctx.metrics
+        if chain.state_count() > MAX_EXPLICIT_STATES {
+            return Err(ModelError::ChainTooLarge {
+                states: chain.state_count(),
+                limit: MAX_EXPLICIT_STATES,
+            });
+        }
+        metrics
             .counter("solver.explicit.states")
             .add(chain.state_count() as u64);
-        ctx.metrics
+        metrics
             .counter("solver.explicit.transitions")
             .add(chain.transition_count() as u64);
         span.arg("states", chain.state_count());
         span.arg("transitions", chain.transition_count());
         let (cycle_probabilities, discard) = chain.solve()?;
         let evaluation = problem.evaluation_from_cycles(cycle_probabilities, discard);
-        timer.stop();
         if span.is_recording() {
-            trace_hops(problem, "solver.explicit", ctx.trace);
+            trace_hops(problem, "solver.explicit", &ctx.instruments.trace);
             span.arg("hops", problem.hop_count());
             span.arg("reachability", evaluation.reachability());
         }

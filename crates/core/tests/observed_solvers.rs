@@ -7,7 +7,15 @@ use whart_model::{
 };
 use whart_net::ReportingInterval;
 use whart_obs::Metrics;
-use whart_trace::Trace;
+use whart_trace::Instruments;
+
+/// Instruments recording into `metrics` alone.
+fn recording(metrics: &Metrics) -> Instruments {
+    Instruments {
+        metrics: metrics.clone(),
+        ..Instruments::default()
+    }
+}
 
 #[test]
 fn fast_solver_is_inert_when_observability_is_off() {
@@ -22,7 +30,7 @@ fn fast_solver_is_inert_when_observability_is_off() {
         .solve(
             &problem,
             MeasurePlan::SCALAR,
-            &SolveContext::new(&disabled, &Trace::disabled()),
+            &SolveContext::new(&recording(&disabled)),
         )
         .unwrap();
     assert_eq!(plain, observed, "bit-identical evaluation");
@@ -46,7 +54,7 @@ fn fast_solver_records_timing_and_steps_without_perturbing_results() {
         .solve(
             &problem,
             MeasurePlan::SCALAR,
-            &SolveContext::new(&metrics, &Trace::disabled()),
+            &SolveContext::new(&recording(&metrics)),
         )
         .unwrap();
     assert_eq!(plain, observed, "metrics must not perturb the solve");
@@ -69,7 +77,7 @@ fn explicit_solver_reports_chain_dimensions() {
         .solve(
             &problem,
             MeasurePlan::SCALAR,
-            &SolveContext::new(&metrics, &Trace::disabled()),
+            &SolveContext::new(&recording(&metrics)),
         )
         .unwrap();
     let plain = ExplicitSolver
@@ -103,8 +111,7 @@ fn network_solves_share_the_registry_across_paths() {
         &FastSolver,
         &network,
         MeasurePlan::SCALAR,
-        &metrics,
-        &Trace::disabled(),
+        &recording(&metrics),
     )
     .unwrap();
     let plain = FastSolver

@@ -10,9 +10,7 @@ use whart_model::{
     FastSolver, MeasurePlan, NetworkEvaluation, PathEvaluation, PathModel, PathProblem, PathReport,
     Result, SolveContext, Solver,
 };
-use whart_obs::Metrics;
-use whart_prof::{Frame, Profiler};
-use whart_trace::Trace;
+use whart_trace::{Instruments, SpanNames, Trace};
 
 use crate::cache::{LinkCache, LinkKey, PathCache};
 use crate::pool;
@@ -134,37 +132,7 @@ pub struct Engine {
     path_cache: PathCache,
     pending: Vec<Scenario>,
     stats: EngineStats,
-    metrics: Metrics,
-    trace: Trace,
-    profiler: Profiler,
-    frames: EngineFrames,
-}
-
-/// The engine's interned activity-frame labels, resolved once when a
-/// profiler is attached so the hot paths never touch the frame table.
-#[derive(Clone, Copy)]
-struct EngineFrames {
-    plan: Frame,
-    execute: Frame,
-    assemble: Frame,
-    solver: Frame,
-    path_get: Frame,
-    link_get: Frame,
-    link_insert: Frame,
-}
-
-impl EngineFrames {
-    fn resolve(profiler: &Profiler, backend: &str) -> EngineFrames {
-        EngineFrames {
-            plan: profiler.frame("engine.plan"),
-            execute: profiler.frame("engine.execute"),
-            assemble: profiler.frame("engine.assemble"),
-            solver: profiler.frame(&format!("solver.{backend}")),
-            path_get: profiler.frame("cache.path_get"),
-            link_get: profiler.frame("cache.link_get"),
-            link_insert: profiler.frame("cache.link_insert"),
-        }
-    }
+    instruments: Instruments,
 }
 
 impl Engine {
@@ -200,59 +168,38 @@ impl Engine {
                 effective_workers,
                 ..EngineStats::default()
             },
-            metrics: Metrics::disabled(),
-            trace: Trace::disabled(),
-            profiler: Profiler::disabled(),
-            frames: EngineFrames::resolve(&Profiler::disabled(), "none"),
+            instruments: Instruments::default(),
         }
     }
 
-    /// Attaches a metrics registry; every subsequent [`Engine::drain`]
-    /// and [`Engine::link_model`] call records cache traffic, stage and
-    /// per-scenario solve latencies into it. The default is the
-    /// disabled handle, which records nothing and reads no clocks.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
+    /// Attaches the instrumentation sinks; every subsequent
+    /// [`Engine::drain`] and [`Engine::link_model`] call reports into
+    /// whichever of them are enabled:
+    ///
+    /// * metrics: cache traffic, stage and per-scenario solve latencies;
+    /// * trace: per-scenario spans (with cache-hit/miss annotations),
+    ///   per-stage spans and the solver backends' provenance events,
+    ///   worker threads under their own journal-assigned thread ids;
+    /// * profiler: per-stage (`engine.plan` / `engine.execute` /
+    ///   `engine.assemble`), per-solver (`solver.{backend}`) and cache
+    ///   (`cache.*`) activity frames on the coordinating and worker
+    ///   threads, so a concurrent capture can attribute wall time.
+    ///
+    /// The default has every sink disabled: it records nothing,
+    /// allocates nothing and costs one branch per site.
+    pub fn set_instruments(&mut self, instruments: Instruments) {
+        self.instruments = instruments;
     }
 
-    /// The engine's metrics handle (disabled unless
-    /// [`Engine::set_metrics`] installed an enabled one).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Attaches a trace journal; every subsequent [`Engine::drain`]
-    /// records per-scenario spans (with cache-hit/miss annotations),
-    /// per-stage spans and the solver backends' provenance events into
-    /// it. Worker threads record under their own journal-assigned
-    /// thread ids. The default is the disabled handle, which records
-    /// nothing, allocates nothing and reads no clocks.
+    /// Attaches a trace journal, keeping the other sinks (see
+    /// [`Engine::set_instruments`]).
     pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = trace;
+        self.instruments.trace = trace;
     }
 
-    /// The engine's trace handle (disabled unless [`Engine::set_trace`]
-    /// installed an enabled one).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Attaches a sampling profiler; every subsequent [`Engine::drain`]
-    /// publishes per-stage (`engine.plan` / `engine.execute` /
-    /// `engine.assemble`), per-solver (`solver.{backend}`) and cache
-    /// (`cache.*`) activity frames on the coordinating and worker
-    /// threads, so a concurrent capture can attribute wall time. The
-    /// default is the disabled handle, under which every frame push is
-    /// a no-op branch.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.frames = EngineFrames::resolve(&profiler, self.solver.name());
-        self.profiler = profiler;
-    }
-
-    /// The engine's profiler handle (disabled unless
-    /// [`Engine::set_profiler`] installed an enabled one).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
+    /// The engine's instrumentation sinks.
+    pub fn instruments(&self) -> &Instruments {
+        &self.instruments
     }
 
     /// Bounds the entry counts of the path and link caches (`None`
@@ -291,15 +238,20 @@ impl Engine {
     /// Propagates invalid channel parameters.
     pub fn link_model(&self, spec: &LinkQualitySpec) -> Result<LinkModel> {
         let key = LinkKey::of(spec);
+        let metrics = &self.instruments.metrics;
         {
-            let _get = self.profiler.enter(self.frames.link_get);
+            let _get = self
+                .instruments
+                .span_with(SpanNames::frame("cache.link_get"));
             if let Some(model) = self.link_cache.get(&key) {
-                self.metrics.counter("engine.link_cache.hits").increment();
+                metrics.counter("engine.link_cache.hits").increment();
                 return Ok(model);
             }
         }
-        self.metrics.counter("engine.link_cache.misses").increment();
-        let _insert = self.profiler.enter(self.frames.link_insert);
+        metrics.counter("engine.link_cache.misses").increment();
+        let _insert = self
+            .instruments
+            .span_with(SpanNames::frame("cache.link_insert"));
         let model = match *spec {
             LinkQualitySpec::Transitions { p_fl, p_rc } => LinkModel::new(p_fl, p_rc)?,
             LinkQualitySpec::Ber {
@@ -323,9 +275,7 @@ impl Engine {
         };
         let evicted = self.link_cache.insert(key, model);
         if evicted > 0 {
-            self.metrics
-                .counter("engine.link_cache.evictions")
-                .add(evicted);
+            metrics.counter("engine.link_cache.evictions").add(evicted);
         }
         Ok(model)
     }
@@ -359,13 +309,11 @@ impl Engine {
         // key: a trajectory-requesting scenario must not be answered by a
         // scalar-only cache entry (or vice versa).
         type PathKey = (PathSignature, MeasurePlan);
-        let obs = self.metrics.clone();
+        let instruments = self.instruments.clone();
+        let obs = &instruments.metrics;
         let path_hits = obs.counter("engine.path_cache.hits");
         let path_misses = obs.counter("engine.path_cache.misses");
-        let compile_hist = obs.histogram("engine.compile_ns");
-        let plan_start = Instant::now();
-        let plan_guard = self.profiler.enter(self.frames.plan);
-        let mut plan_span = self.trace.span("plan", "engine");
+        let mut plan_span = instruments.span("engine", "plan");
         let mut planned_jobs = Vec::with_capacity(scenarios.len());
         let mut resolved: HashMap<PathKey, Arc<PathEvaluation>> = HashMap::new();
         let mut planned: HashMap<PathKey, usize> = HashMap::new();
@@ -377,24 +325,25 @@ impl Engine {
         // schedules differing only by a slot offset share one solve.
         // Tracing pins the real frame slots into hop provenance, so a
         // tracing engine plans the raw problems instead.
-        let canonicalize = self.solver.solves_shifted_slots_exactly() && !self.trace.is_enabled();
+        let canonicalize =
+            self.solver.solves_shifted_slots_exactly() && !instruments.trace.is_enabled();
         for scenario in scenarios {
-            let mut scenario_span = self.trace.span("scenario", "engine");
+            let mut scenario_span = instruments.span_with(SpanNames::event("engine", "scenario"));
             let mut scenario_hits = 0u64;
             let mut scenario_misses = 0u64;
             let plan = scenario.measures.plan();
-            let compile_span = compile_hist.start();
+            let compile_span = instruments.span_with(SpanNames::histogram("engine.compile_ns"));
             let problems: Vec<PathProblem> = match &scenario.workload {
                 Workload::Network(model) => (0..model.paths().len())
                     .map(|i| model.path_problem(i))
                     .collect::<Result<_>>()?,
                 Workload::Paths(models) => models.iter().map(PathModel::compile).collect(),
             };
-            compile_span.stop();
+            compile_span.finish();
             let mut signatures = Vec::with_capacity(problems.len());
             // One frame per scenario, not per path: the loop body is
             // dominated by signature derivation and path-cache lookups.
-            let cache_guard = self.profiler.enter(self.frames.path_get);
+            let cache_guard = instruments.span_with(SpanNames::frame("cache.path_get"));
             for problem in problems {
                 // The trajectory plan records per-slot rows, which a
                 // slot shift would visibly move — only scalar solves
@@ -449,34 +398,25 @@ impl Engine {
         }
         plan_span.arg("scenarios", planned_jobs.len());
         plan_span.arg("distinct_solves", tasks.len());
-        plan_span.finish();
-        drop(plan_guard);
-        let plan_elapsed = plan_start.elapsed();
-        self.stats.plan_wall += plan_elapsed;
-        obs.histogram("engine.plan_ns")
-            .record(plan_elapsed.as_nanos() as u64);
+        self.stats.plan_wall += plan_span.finish();
 
         // Execute: solve the distinct compiled problems on the worker pool
         // through the engine's solver backend.
-        let execute_start = Instant::now();
-        let mut execute_span = self.trace.span("execute", "engine");
+        let mut execute_span = instruments.span("engine", "execute");
         let solver = Arc::clone(&self.solver);
         let enabled = obs.is_enabled();
-        let trace = self.trace.clone();
-        let profiler = self.profiler.clone();
-        let frames = self.frames;
         let (solved, pool_stats) = pool::run(
             self.effective_workers,
             tasks,
             |((signature, _), _): &(PathKey, PathProblem)| signature.affinity(),
-            // Every executing thread publishes `engine.execute` for its
+            // Every worker thread publishes `engine.execute` for its
             // whole task loop, so sampled worker ticks — solving,
-            // claiming, stealing — always attribute to the engine.
-            |_worker| profiler.enter(frames.execute),
+            // claiming, stealing — always attribute to the engine (the
+            // coordinating thread's stage span already does).
+            |_worker| instruments.span_with(SpanNames::frame("engine.execute")),
             |((_, plan), problem)| {
-                let _solve = profiler.enter(frames.solver);
                 let start = enabled.then(Instant::now);
-                let result = solver.solve(problem, *plan, &SolveContext::new(&obs, &trace));
+                let result = solver.solve(problem, *plan, &SolveContext::new(&instruments));
                 (result, start.map(|s| s.elapsed()).unwrap_or_default())
             },
         );
@@ -518,16 +458,10 @@ impl Engine {
         // `EngineStats::{steals, stolen_tasks}`.
         execute_span.arg("steals", pool_stats.steals);
         execute_span.arg("stolen_tasks", pool_stats.stolen_tasks);
-        execute_span.finish();
-        let execute_elapsed = execute_start.elapsed();
-        self.stats.execute_wall += execute_elapsed;
-        obs.histogram("engine.execute_ns")
-            .record(execute_elapsed.as_nanos() as u64);
+        self.stats.execute_wall += execute_span.finish();
 
         // Assemble: per-scenario results in submission order.
-        let assemble_start = Instant::now();
-        let assemble_guard = self.profiler.enter(self.frames.assemble);
-        let mut assemble_span = self.trace.span("assemble", "engine");
+        let mut assemble_span = instruments.span("engine", "assemble");
         let scenario_hist = obs.histogram(&format!("engine.{backend}.scenario_solve_ns"));
         let mut results = Vec::with_capacity(planned_jobs.len());
         for (scenario, signatures) in planned_jobs {
@@ -599,12 +533,7 @@ impl Engine {
             self.stats.jobs_completed += 1;
         }
         assemble_span.arg("scenarios", results.len());
-        assemble_span.finish();
-        drop(assemble_guard);
-        let assemble_elapsed = assemble_start.elapsed();
-        self.stats.assemble_wall += assemble_elapsed;
-        obs.histogram("engine.assemble_ns")
-            .record(assemble_elapsed.as_nanos() as u64);
+        self.stats.assemble_wall += assemble_span.finish();
 
         Ok(results)
     }

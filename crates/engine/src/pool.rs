@@ -79,13 +79,14 @@ impl Share {
 /// value always start on the same worker, so signature-affine work
 /// shares that worker's warm cache lines unless stealing rebalances.
 ///
-/// `worker_scope` runs once per executing thread before it claims any
-/// work and its return value is held for the thread's whole task loop —
-/// the engine uses it to publish an `engine.execute` profiler frame, so
-/// every sampled tick on a worker (solving, claiming, stealing) is
-/// attributed to the execute stage. On the serial fallback it wraps the
-/// in-place loop on the calling thread. Worker threads are named
-/// `whart-worker-{i}` so profiles and debuggers can tell them apart.
+/// `worker_scope` runs once per spawned worker thread before it claims
+/// any work and its return value is held for the thread's whole task
+/// loop — the engine uses it to publish an `engine.execute` profiler
+/// frame, so every sampled tick on a worker (solving, claiming,
+/// stealing) is attributed to the execute stage. The serial fallback
+/// runs in place on the calling thread, inside whatever scope the caller
+/// holds. Worker threads are named `whart-worker-{i}` so profiles and
+/// debuggers can tell them apart.
 pub(crate) fn run<T, R, F, A, S, G>(
     workers: usize,
     items: Vec<T>,
@@ -103,9 +104,7 @@ where
     let n = items.len();
     let workers = workers.clamp(1, n.max(1));
     if workers <= 1 || n <= 1 {
-        let scope = worker_scope(0);
         let results = items.iter().map(&f).collect();
-        drop(scope);
         return (
             results,
             PoolStats {

@@ -5,6 +5,15 @@ use whart_engine::{Engine, LinkQualitySpec, Scenario};
 use whart_model::sweeps::{chain_model, section_v_model};
 use whart_net::ReportingInterval;
 use whart_obs::Metrics;
+use whart_trace::Instruments;
+
+/// Instruments recording into `metrics` alone.
+fn recording(metrics: &Metrics) -> Instruments {
+    Instruments {
+        metrics: metrics.clone(),
+        ..Instruments::default()
+    }
+}
 
 fn fleet() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
@@ -19,7 +28,7 @@ fn fleet() -> Vec<Scenario> {
 fn results_are_bit_identical_with_metrics_enabled() {
     let mut plain = Engine::new(2);
     let mut observed = Engine::new(2);
-    observed.set_metrics(Metrics::new());
+    observed.set_instruments(recording(&Metrics::new()));
     for scenario in fleet() {
         plain.submit(scenario.clone());
         observed.submit(scenario);
@@ -37,7 +46,7 @@ fn results_are_bit_identical_with_metrics_enabled() {
 fn scenario_latency_histogram_counts_every_scenario() {
     let mut engine = Engine::new(2);
     let metrics = Metrics::new();
-    engine.set_metrics(metrics.clone());
+    engine.set_instruments(recording(&metrics));
     let scenarios = fleet();
     let expected = scenarios.len() as u64;
     for scenario in scenarios {
@@ -69,7 +78,7 @@ fn scenario_latency_histogram_counts_every_scenario() {
 fn warm_drain_records_zero_latency_scenarios() {
     let mut engine = Engine::new(1);
     let metrics = Metrics::new();
-    engine.set_metrics(metrics.clone());
+    engine.set_instruments(recording(&metrics));
     let model = chain_model(2, 0.83, ReportingInterval::REGULAR).unwrap();
     engine.submit(Scenario::paths("cold", vec![model.clone()]));
     engine.drain().unwrap();
@@ -90,7 +99,7 @@ fn warm_drain_records_zero_latency_scenarios() {
 fn cache_evictions_reach_stats_and_metrics() {
     let mut engine = Engine::new(1);
     let metrics = Metrics::new();
-    engine.set_metrics(metrics.clone());
+    engine.set_instruments(recording(&metrics));
     engine.set_cache_capacities(Some(1), Some(1));
     for scenario in fleet() {
         engine.submit(scenario);
@@ -128,6 +137,6 @@ fn disabled_metrics_leave_an_empty_snapshot() {
         engine.submit(scenario);
     }
     engine.drain().unwrap();
-    assert!(engine.metrics().snapshot().is_empty());
-    assert!(!engine.metrics().is_enabled());
+    assert!(engine.instruments().metrics.snapshot().is_empty());
+    assert!(!engine.instruments().metrics.is_enabled());
 }

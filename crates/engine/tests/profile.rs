@@ -5,7 +5,15 @@
 use whart_engine::{Engine, Scenario};
 use whart_model::sweeps::section_v_model;
 use whart_net::ReportingInterval;
-use whart_prof::{Profiler, DEFAULT_HZ};
+use whart_trace::{Instruments, Profiler, DEFAULT_HZ};
+
+/// Instruments sampling into `profiler` alone.
+fn profiling(profiler: &Profiler) -> Instruments {
+    Instruments {
+        profiler: profiler.clone(),
+        ..Instruments::default()
+    }
+}
 
 fn fleet() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
@@ -20,9 +28,10 @@ fn fleet() -> Vec<Scenario> {
 fn results_are_bit_identical_with_profiler_enabled() {
     let mut plain = Engine::new(2);
     let mut profiled = Engine::new(2);
-    profiled.set_profiler(Profiler::new());
+    profiled.set_instruments(profiling(&Profiler::new()));
     let capture = profiled
-        .profiler()
+        .instruments()
+        .profiler
         .start_capture(DEFAULT_HZ)
         .expect("enabled profiler captures");
     for scenario in fleet() {
@@ -41,33 +50,23 @@ fn results_are_bit_identical_with_profiler_enabled() {
 
 #[test]
 fn sampled_drains_attribute_time_to_engine_frames() {
-    // Cold-drain fresh engines under a fast capture until the sampler
-    // has observed the execute stage; every drain plans real solves, so
-    // a handful of iterations is enough at 20 kHz even on slow machines.
+    // Cold-drain fresh engines, each under its own fast capture, until
+    // the capture asserted on below has observed the execute stage;
+    // every drain plans real solves, so a handful of iterations is
+    // enough at 20 kHz even on slow machines.
     let profiler = Profiler::new();
-    let capture = profiler.start_capture(20_000).unwrap();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     let profile = loop {
+        let capture = profiler.start_capture(20_000).unwrap();
         let mut engine = Engine::new(4);
-        engine.set_profiler(profiler.clone());
+        engine.set_instruments(profiling(&profiler));
         for scenario in fleet() {
             engine.submit(scenario);
         }
         engine.drain().unwrap();
-        if std::time::Instant::now() >= deadline {
-            break capture.stop();
-        }
-        // Peek cheaply: run a short side capture to see if frames are
-        // landing yet. The main capture keeps accumulating either way.
-        let probe = profiler.start_capture(20_000).unwrap();
-        let mut engine = Engine::new(4);
-        engine.set_profiler(profiler.clone());
-        for scenario in fleet() {
-            engine.submit(scenario);
-        }
-        engine.drain().unwrap();
-        if probe.stop().frame_total("engine.execute") > 0 {
-            break capture.stop();
+        let profile = capture.stop();
+        if profile.frame_total("engine.execute") > 0 || std::time::Instant::now() >= deadline {
+            break profile;
         }
     };
     assert!(profile.total_samples() > 0, "no samples at 20 kHz");
@@ -101,6 +100,10 @@ fn sampled_drains_attribute_time_to_engine_frames() {
 #[test]
 fn disabled_profiler_is_the_default_and_free() {
     let engine = Engine::new(1);
-    assert!(!engine.profiler().is_enabled());
-    assert!(engine.profiler().start_capture(DEFAULT_HZ).is_none());
+    assert!(!engine.instruments().profiler.is_enabled());
+    assert!(engine
+        .instruments()
+        .profiler
+        .start_capture(DEFAULT_HZ)
+        .is_none());
 }

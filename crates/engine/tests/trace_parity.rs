@@ -100,8 +100,8 @@ fn disabled_trace_records_nothing() {
         engine.submit(scenario);
     }
     engine.drain().unwrap();
-    assert!(!engine.trace().is_enabled());
-    assert!(engine.trace().drain().is_empty());
+    assert!(!engine.instruments().trace.is_enabled());
+    assert!(engine.instruments().trace.drain().is_empty());
 }
 
 #[test]

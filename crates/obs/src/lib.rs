@@ -14,14 +14,13 @@
 //!   values.
 //! * [`Histogram`] — fixed log2-bucket latency/size histograms with an
 //!   explicit overflow bucket, exact `count`/`sum`/`min`/`max`.
-//! * [`SpanTimer`] — a scoped guard recording elapsed nanoseconds into
-//!   a histogram when dropped. On a disabled handle the clock is never
-//!   read.
 //! * [`MetricsSnapshot`] — a point-in-time copy of every instrument,
 //!   serializable to and from JSON (machine-readable CLI/CI artifacts).
 //! * [`RollingCounter`] / [`RollingHistogram`] — sliding-window
 //!   instruments (a ring of K sub-windows over an explicit clock) for
 //!   "last 30 seconds" views next to the cumulative ones.
+//! * [`ProcessStats`] / [`ResourceSampler`] — process resource readings
+//!   from `/proc` behind the `process_*` gauges a server exports.
 //!
 //! Instrument handles resolve their storage once — hot loops should
 //! resolve outside the loop and reuse the handle; each record is then
@@ -32,10 +31,7 @@
 //!
 //! let metrics = Metrics::new();
 //! metrics.counter("engine.path_cache.hits").add(3);
-//! {
-//!     let _span = metrics.timer("solver.fast.solve_ns");
-//!     // ... timed work ...
-//! }
+//! metrics.histogram("solver.fast.solve_ns").record(1_250);
 //! let snapshot = metrics.snapshot();
 //! assert_eq!(snapshot.counter("engine.path_cache.hits"), Some(3));
 //! assert_eq!(snapshot.histogram("solver.fast.solve_ns").unwrap().count, 1);
@@ -50,11 +46,13 @@
 #![warn(missing_docs)]
 
 mod histogram;
+mod process;
 pub mod prometheus;
 mod snapshot;
 pub mod window;
 
 pub use histogram::{bucket_upper_bound, HistogramSnapshot, BUCKETS};
+pub use process::{ProcessStats, ResourceSampler};
 pub use snapshot::MetricsSnapshot;
 pub use window::{RollingCounter, RollingHistogram, DEFAULT_SUB_WINDOWS};
 
@@ -62,7 +60,6 @@ use histogram::HistogramCore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// The named-instrument registry behind an enabled [`Metrics`] handle.
 #[derive(Default)]
@@ -128,12 +125,6 @@ impl Metrics {
                 Arc::clone(histograms.entry(name.to_owned()).or_default())
             }),
         }
-    }
-
-    /// Starts a scoped span recording elapsed nanoseconds into the
-    /// histogram named `name` when the returned guard drops.
-    pub fn timer(&self, name: &str) -> SpanTimer {
-        self.histogram(name).start()
     }
 
     /// A point-in-time copy of every instrument. Empty for disabled
@@ -222,54 +213,23 @@ impl Gauge {
 }
 
 /// A fixed log2-bucket histogram of non-negative values (latencies in
-/// nanoseconds, sizes, counts).
-#[derive(Clone)]
+/// nanoseconds, sizes, counts). The default histogram is disabled.
+#[derive(Clone, Default)]
 pub struct Histogram {
     core: Option<Arc<HistogramCore>>,
 }
 
 impl Histogram {
+    /// Whether this histogram records anything.
+    pub fn is_enabled(&self) -> bool {
+        self.core.is_some()
+    }
+
     /// Records one observation.
     pub fn record(&self, value: u64) {
         if let Some(core) = &self.core {
             core.record(value);
         }
-    }
-
-    /// Starts a span whose elapsed nanoseconds are recorded here when
-    /// the guard drops. On a disabled histogram the clock is not read.
-    pub fn start(&self) -> SpanTimer {
-        SpanTimer {
-            histogram: self.clone(),
-            start: self.core.as_ref().map(|_| Instant::now()),
-        }
-    }
-}
-
-/// A scoped timer; records elapsed nanoseconds into its histogram on
-/// drop (or explicitly via [`SpanTimer::stop`]).
-pub struct SpanTimer {
-    histogram: Histogram,
-    start: Option<Instant>,
-}
-
-impl SpanTimer {
-    /// Stops the span now, recording the elapsed nanoseconds.
-    pub fn stop(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if let Some(start) = self.start.take() {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.histogram.record(nanos);
-        }
-    }
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        self.finish();
     }
 }
 
@@ -299,28 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn timers_record_into_histograms() {
-        let metrics = Metrics::new();
-        {
-            let _span = metrics.timer("work_ns");
-        }
-        metrics.timer("work_ns").stop();
-        let snapshot = metrics.snapshot();
-        let h = snapshot.histogram("work_ns").unwrap();
-        assert_eq!(h.count, 2);
-        assert!(h.sum >= h.min);
-    }
-
-    #[test]
-    fn disabled_handles_record_nothing_and_read_no_clock() {
+    fn disabled_handles_record_nothing() {
         let metrics = Metrics::disabled();
         assert!(!metrics.is_enabled());
         metrics.counter("c").add(7);
         metrics.gauge("g").set(7);
         metrics.histogram("h").record(7);
-        let span = metrics.timer("t");
-        assert!(span.start.is_none(), "disabled spans never touch the clock");
-        drop(span);
+        assert!(!metrics.histogram("h").is_enabled());
         assert!(metrics.snapshot().is_empty());
     }
 

@@ -740,7 +740,7 @@ h_count 1
 
     #[test]
     fn process_resource_gauges_render_under_their_exact_names() {
-        // The serve /metrics handler publishes whart-prof's resource
+        // The serve /metrics handler publishes whart-obs's resource
         // sampler through these derived gauges. Their names are a wire
         // contract with dashboards and promcheck: already underscored,
         // they must render verbatim (no dot-to-underscore rewriting,

@@ -26,6 +26,7 @@ use whart_model::compose::{
 };
 use whart_model::{DelayConvention, LinkDynamics, PathEvaluation, PathModel};
 use whart_net::{NodeId, ReportingInterval, Superframe};
+use whart_trace::SpanNames;
 
 /// Two objectives strictly better when larger (reachability) or smaller
 /// (delay); internally the search maximizes a signed score.
@@ -579,10 +580,9 @@ fn evaluate_batch(
 /// engine. Metrics (`opt.candidates_evaluated`, `opt.accepted_moves`,
 /// the `opt.best_objective` gauge in micro-units and the
 /// `opt.cache_hit_ratio` gauge in parts per million) are recorded into
-/// the engine's metrics handle; one `opt.round` span per round goes to
-/// its trace handle, and each round publishes an `opt.round` activity
-/// frame on the engine's profiler so sampling captures attribute search
-/// time round-by-round.
+/// the engine's instruments; one `opt.round` span per round goes to
+/// their trace journal and publishes an `opt.round` activity frame, so
+/// sampling captures attribute search time round-by-round.
 ///
 /// # Errors
 ///
@@ -599,10 +599,8 @@ pub fn optimize(
             reason: "max_rounds must be at least 1".into(),
         });
     }
-    let metrics = engine.metrics().clone();
-    let trace = engine.trace().clone();
-    let profiler = engine.profiler().clone();
-    let round_frame = profiler.frame("opt.round");
+    let instruments = engine.instruments().clone();
+    let metrics = &instruments.metrics;
     let candidates_counter = metrics.counter("opt.candidates_evaluated");
     let accepted_counter = metrics.counter("opt.accepted_moves");
     let best_gauge = metrics.gauge("opt.best_objective");
@@ -634,8 +632,8 @@ pub fn optimize(
     let mut rounds = Vec::new();
 
     for round in 1..=config.max_rounds {
-        let _round_guard = profiler.enter(round_frame);
-        let mut span = trace.span("opt.round", "opt");
+        let mut span =
+            instruments.span_with(SpanNames::event("opt", "opt.round").with_frame("opt.round"));
         span.arg("round", round);
         let moves = enumerate_moves(net, &state, config.objective);
         if moves.is_empty() {

@@ -22,7 +22,10 @@ fn run(seed: u64, objective: Objective) -> (whart_opt::Optimized, Metrics) {
     let net = generate(&mesh_config(seed)).unwrap();
     let metrics = Metrics::new();
     let mut engine = Engine::new(2);
-    engine.set_metrics(metrics.clone());
+    engine.set_instruments(whart_trace::Instruments {
+        metrics: metrics.clone(),
+        ..whart_trace::Instruments::default()
+    });
     let config = SearchConfig {
         objective,
         max_rounds: 6,

@@ -23,10 +23,11 @@
 //!   connections, a bounded dispatch queue with `503` + `Retry-After`
 //!   admission control, built-in `GET /healthz` / `GET /readyz` probes
 //!   (health flips to 503 once drain begins), per-request metrics and
-//!   trace spans on the shared [`whart_obs::Metrics`] /
-//!   [`whart_trace::Trace`] facades, and graceful shutdown that drains
-//!   every dispatched connection before [`server::Server::serve`]
-//!   returns.
+//!   trace spans on the shared [`whart_trace::Instruments`], and
+//!   graceful shutdown that drains every dispatched connection before
+//!   [`server::Server::serve`] returns.
+//! * [`log`] — the request log: one JSON line per request, written to
+//!   stdout, stderr or a file.
 //! * [`signal`] — SIGINT observation (no libc dependency) so Ctrl-C
 //!   triggers the same drain as `POST /admin/shutdown`.
 //! * [`flight`] — the tail-sampled flight recorder: per-request hop
@@ -39,8 +40,8 @@
 //! Every request is assigned (or propagates) an `X-Request-Id`
 //! correlation id, returned on all responses — including protocol
 //! errors and `503` queue-overflow rejections — and stamped on the
-//! request's trace span, its structured log event, and its flight
-//! recorder entry.
+//! request's trace span, its request-log line, and its flight recorder
+//! entry.
 //!
 //! ```no_run
 //! use whart_serve::{Response, Router, Server, ServerConfig};
@@ -66,6 +67,7 @@ compile_error!("whart-serve supports Unix targets only");
 pub mod conn;
 pub mod flight;
 pub mod http;
+pub mod log;
 pub mod poll;
 pub mod router;
 pub mod server;
@@ -74,6 +76,7 @@ pub mod windows;
 
 pub use flight::{FlightEntry, FlightRecorder};
 pub use http::{Request, RequestError, Response};
+pub use log::{Level, RequestLog};
 pub use router::{Handler, Router};
 pub use server::{next_request_id, Flag, Server, ServerConfig};
 pub use windows::{HttpWindows, RouteWindow};

@@ -8,10 +8,11 @@
 //! One event loop (the thread calling [`Server::serve`]) owns a poll
 //! set holding the nonblocking listener, a wake pipe, and every idle
 //! keep-alive connection. When a parked connection turns readable it is
-//! dispatched to a fixed pool of worker threads over a **bounded**
-//! channel of capacity [`ServerConfig::max_queue`]; a full queue is
-//! answered immediately with `503` + `Retry-After` instead of buffering
-//! without bound (finite-queue admission, the degradation mode the
+//! dispatched to a fixed pool of worker threads. Admission counts the
+//! idle workers: a connection is queued only while the connections
+//! already waiting number fewer than the idle workers plus
+//! [`ServerConfig::max_queue`]; beyond that it is answered immediately
+//! with `503` + `Retry-After` instead of buffering without bound (finite-queue admission, the degradation mode the
 //! finite-queue mesh models in the related work prescribe). A worker
 //! serves requests back-to-back while more are buffered or in flight on
 //! the socket (pipelining), then hands the connection back to the event
@@ -35,7 +36,8 @@
 //!
 //! Per request: `http.requests_total{route,code}`, the per-route
 //! latency histogram `http.request_ns{route}`, the `http.in_flight`
-//! gauge, and one `http_request` trace span. Per connection:
+//! gauge, one `http_request` trace span and one request-log line, all
+//! projections of one request record. Per connection:
 //! `http.connections_open` (gauge), `http.keepalive.reuses_total`,
 //! `http.keepalive.expired_total`, and the admission-control pair
 //! `http.queue_depth` (gauge) / `http.rejected_total{reason=queue_full}`.
@@ -43,6 +45,7 @@
 use crate::conn::{After, Conn};
 use crate::flight::{FlightEntry, FlightRecorder};
 use crate::http::{Request, RequestError, Response};
+use crate::log::{Level, RequestLog};
 use crate::router::Router;
 use crate::signal;
 use crate::windows::HttpWindows;
@@ -53,9 +56,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-use whart_log::{Level, Logger};
-use whart_obs::Metrics;
-use whart_trace::{Phase, Trace, TraceEvent};
+use whart_json::Json;
+use whart_trace::{ArgValue, Instruments, Phase, Span, SpanNames, TraceEvent};
 
 use crate::poll;
 use std::os::unix::io::AsRawFd;
@@ -190,16 +192,20 @@ impl Default for ServerConfig {
 /// Shared per-worker context.
 struct Ctx {
     router: Router,
-    metrics: Metrics,
-    trace: Trace,
-    log: Logger,
+    instruments: Instruments,
+    log: RequestLog,
     flight: FlightRecorder,
     windows: Option<Arc<HttpWindows>>,
     ready: Flag,
     shutdown: Flag,
     in_flight: AtomicU64,
     open: AtomicU64,
+    /// Connections dispatched and not yet picked up by a worker.
     queued: AtomicU64,
+    /// Workers not serving a connection.
+    idle: AtomicU64,
+    /// Connections admitted beyond the idle workers.
+    max_queue: u64,
     read_timeout: Duration,
     write_timeout: Duration,
     keepalive_timeout: Duration,
@@ -238,7 +244,11 @@ impl DerefMut for Tracked {
 impl Drop for Tracked {
     fn drop(&mut self) {
         let open = self.ctx.open.fetch_sub(1, Ordering::SeqCst) - 1;
-        self.ctx.metrics.gauge("http.connections_open").set(open);
+        self.ctx
+            .instruments
+            .metrics
+            .gauge("http.connections_open")
+            .set(open);
     }
 }
 
@@ -246,9 +256,8 @@ impl Drop for Tracked {
 pub struct Server {
     listener: TcpListener,
     router: Router,
-    metrics: Metrics,
-    trace: Trace,
-    log: Logger,
+    instruments: Instruments,
+    log: RequestLog,
     flight: FlightRecorder,
     windows: Option<Arc<HttpWindows>>,
     ready: Flag,
@@ -273,9 +282,8 @@ impl Server {
         Ok(Server {
             listener,
             router: Router::new(),
-            metrics: Metrics::disabled(),
-            trace: Trace::disabled(),
-            log: Logger::disabled(),
+            instruments: Instruments::default(),
+            log: RequestLog::default(),
             flight: FlightRecorder::disabled(),
             windows: None,
             ready: Flag::new(),
@@ -293,19 +301,15 @@ impl Server {
         self.router = router;
     }
 
-    /// Points request middleware at a metrics registry.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
+    /// Points request middleware at the instrumentation sinks (request
+    /// and connection metrics, one `http_request` span per request).
+    pub fn set_instruments(&mut self, instruments: Instruments) {
+        self.instruments = instruments;
     }
 
-    /// Points request middleware at a trace journal.
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = trace;
-    }
-
-    /// Points request middleware at a structured logger (one wide
-    /// `http_request` event per request).
-    pub fn set_log(&mut self, log: Logger) {
+    /// Points request middleware at a request log (one `http_request`
+    /// line per request).
+    pub fn set_log(&mut self, log: RequestLog) {
         self.log = log;
     }
 
@@ -343,8 +347,7 @@ impl Server {
     fn make_ctx(&mut self) -> Arc<Ctx> {
         Arc::new(Ctx {
             router: std::mem::take(&mut self.router),
-            metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
+            instruments: self.instruments.clone(),
             log: self.log.clone(),
             flight: self.flight.clone(),
             windows: self.windows.clone(),
@@ -353,6 +356,10 @@ impl Server {
             in_flight: AtomicU64::new(0),
             open: AtomicU64::new(0),
             queued: AtomicU64::new(0),
+            // Every worker counts as idle from the start, so admission
+            // does not depend on how far the worker threads have got.
+            idle: AtomicU64::new(self.threads as u64),
+            max_queue: self.max_queue as u64,
             read_timeout: self.read_timeout,
             write_timeout: self.write_timeout,
             keepalive_timeout: self.keepalive_timeout,
@@ -370,7 +377,7 @@ impl Server {
         signal::install();
         self.listener.set_nonblocking(true)?;
         let ctx = self.make_ctx();
-        let (work_tx, work_rx) = mpsc::sync_channel::<Tracked>(self.max_queue);
+        let (work_tx, work_rx) = mpsc::channel::<Tracked>();
         let work_rx = Arc::new(Mutex::new(work_rx));
         let (park_tx, park_rx) = mpsc::channel::<Tracked>();
         let mut wake = poll::WakePipe::new()?;
@@ -403,7 +410,8 @@ impl Server {
                 let idle_for = now.duration_since(idle[i].idle_since);
                 if idle_for >= ctx.keepalive_timeout {
                     drop(idle.swap_remove(i));
-                    ctx.metrics
+                    ctx.instruments
+                        .metrics
                         .counter("http.keepalive.expired_total")
                         .increment();
                 } else {
@@ -447,7 +455,10 @@ impl Server {
                         Ok((stream, _)) => {
                             if let Ok(conn) = Conn::new(stream) {
                                 let open = ctx.open.fetch_add(1, Ordering::SeqCst) + 1;
-                                ctx.metrics.gauge("http.connections_open").set(open);
+                                ctx.instruments
+                                    .metrics
+                                    .gauge("http.connections_open")
+                                    .set(open);
                                 // Parked until its first bytes arrive;
                                 // the next poll dispatches it.
                                 idle.push(Tracked {
@@ -492,42 +503,45 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Admits a readable connection into the bounded work queue, or rejects
-/// it with `503` + `Retry-After` when the queue is full.
-fn dispatch(ctx: &Arc<Ctx>, mut tracked: Tracked, work_tx: &mpsc::SyncSender<Tracked>) {
-    // Count before sending so a worker's decrement can never observe
-    // the queue below zero.
+/// Admits a readable connection into the work queue, or rejects it with
+/// `503` + `Retry-After` when the connections already waiting would
+/// exceed the idle workers plus `max_queue`.
+fn dispatch(ctx: &Arc<Ctx>, mut tracked: Tracked, work_tx: &mpsc::Sender<Tracked>) {
+    let metrics = &ctx.instruments.metrics;
+    // Count before checking so a worker's decrement can never observe
+    // the queue below zero. Workers mark themselves busy before taking
+    // a connection off the count, so `idle` is never stale high here.
     let depth = ctx.queued.fetch_add(1, Ordering::SeqCst) + 1;
-    ctx.metrics.gauge("http.queue_depth").set(depth);
+    metrics.gauge("http.queue_depth").set(depth);
+    if depth > ctx.idle.load(Ordering::SeqCst) + ctx.max_queue {
+        let depth = ctx.queued.fetch_sub(1, Ordering::SeqCst) - 1;
+        metrics.gauge("http.queue_depth").set(depth);
+        metrics
+            .counter("http.rejected_total{reason=queue_full}")
+            .increment();
+        // No request was parsed, so the overflow gets a fresh
+        // correlation id: the rejected client can still quote an id
+        // that the server's log line carries.
+        let request_id = next_request_id();
+        let response = Response::text(503, "server busy: request queue is full\n")
+            .with_header("Retry-After", "1")
+            .with_header("X-Request-Id", request_id.clone());
+        let _ = tracked.write_response(&response, false, false, REJECT_WRITE_TIMEOUT);
+        ctx.log.write(
+            Level::Warn,
+            "queue_overflow",
+            [
+                ("request_id", Json::from(request_id)),
+                ("code", Json::from(503u64)),
+                ("queue_depth", Json::from(depth)),
+            ],
+        );
+        return;
+    }
     tracked.enqueued_at = Some(Instant::now());
-    match work_tx.try_send(tracked) {
-        Ok(()) => {}
-        Err(mpsc::TrySendError::Full(mut rejected)) => {
-            let depth = ctx.queued.fetch_sub(1, Ordering::SeqCst) - 1;
-            ctx.metrics.gauge("http.queue_depth").set(depth);
-            ctx.metrics
-                .counter("http.rejected_total{reason=queue_full}")
-                .increment();
-            // No request was parsed, so the overflow gets a fresh
-            // correlation id: the rejected client can still quote an id
-            // that the server's log line carries.
-            let request_id = next_request_id();
-            let response = Response::text(503, "server busy: request queue is full\n")
-                .with_header("Retry-After", "1")
-                .with_header("X-Request-Id", request_id.clone());
-            let _ = rejected.write_response(&response, false, false, REJECT_WRITE_TIMEOUT);
-            ctx.log
-                .event(Level::Warn, "queue_overflow")
-                .field("request_id", request_id.as_str())
-                .field("code", 503u64)
-                .field("queue_depth", depth)
-                .emit();
-            ctx.log.flush();
-        }
-        Err(mpsc::TrySendError::Disconnected(_)) => {
-            let depth = ctx.queued.fetch_sub(1, Ordering::SeqCst) - 1;
-            ctx.metrics.gauge("http.queue_depth").set(depth);
-        }
+    if work_tx.send(tracked).is_err() {
+        let depth = ctx.queued.fetch_sub(1, Ordering::SeqCst) - 1;
+        metrics.gauge("http.queue_depth").set(depth);
     }
 }
 
@@ -554,10 +568,13 @@ fn worker_loop(
         let Ok(mut tracked) = tracked else {
             return; // channel closed: drain complete
         };
+        ctx.idle.fetch_sub(1, Ordering::SeqCst);
         let depth = ctx.queued.fetch_sub(1, Ordering::SeqCst) - 1;
-        ctx.metrics.gauge("http.queue_depth").set(depth);
+        ctx.instruments.metrics.gauge("http.queue_depth").set(depth);
         let queue_ns = tracked.enqueued_at.take().map_or(0, elapsed_ns);
-        match serve_conn(ctx, &mut tracked.conn, queue_ns) {
+        let disposition = serve_conn(ctx, &mut tracked.conn, queue_ns);
+        ctx.idle.fetch_add(1, Ordering::SeqCst);
+        match disposition {
             Disposition::Park => {
                 if park_tx.send(tracked).is_ok() {
                     waker.wake();
@@ -593,145 +610,148 @@ fn builtin(ctx: &Ctx, method: &str, path: &str) -> Option<(&'static str, Respons
     }
 }
 
-/// Everything the middleware knows about one finished request beyond
-/// the response itself.
+/// Everything the middleware records about one finished request. The
+/// counters, the rolling windows, the `http_request` span, the log line
+/// and the flight entry are all projections of this one record.
 struct RequestRecord<'a> {
     label: &'a str,
     request_id: &'a str,
     method: &'a str,
+    status: u16,
     /// Wall-clock start, Unix milliseconds.
     started_unix_ms: u64,
     /// Dispatch-queue wait before the worker picked the connection up.
     queue_ns: u64,
     /// Routing + handler time (excludes writing the response).
     handler_ns: u64,
+    /// Routing, handler and write time.
+    total_ns: u64,
     /// Whether the connection had served earlier requests.
     reused: bool,
     bytes_in: usize,
+    bytes_out: usize,
+    /// The handler's own details (memo and cache hits, engine time).
+    details: Vec<(&'static str, ArgValue)>,
 }
 
-/// Records the request middleware's observability: cumulative metrics,
-/// rolling windows, the trace span, the wide log event, and the flight
-/// recorder entry — all stamped with the request's correlation id.
-fn instrument(ctx: &Ctx, record: &RequestRecord<'_>, response: &Response, started: Instant) {
+/// Projects `record` onto the middleware's sinks and closes the
+/// request's `http_request` span.
+fn instrument(ctx: &Ctx, record: RequestRecord<'_>, mut span: Span) {
     let label = record.label;
-    let total_ns = elapsed_ns(started);
-    ctx.metrics
+    let metrics = &ctx.instruments.metrics;
+    metrics
         .counter(&format!(
             "http.requests_total{{route={label},code={}}}",
-            response.status
+            record.status
         ))
         .increment();
-    ctx.metrics
+    metrics
         .histogram(&format!("http.request_ns{{route={label}}}"))
-        .record(total_ns);
+        .record(record.total_ns);
     if let Some(windows) = &ctx.windows {
-        windows.record(label, response.status, total_ns);
+        windows.record(label, record.status, record.total_ns);
     }
 
-    let mut span = ctx.trace.span("http_request", "http");
-    span.arg("request_id", record.request_id);
-    span.arg("route", label);
-    span.arg("code", u64::from(response.status));
-    for (key, value) in &response.trace_args {
-        span.arg(key, value.clone());
+    if ctx.log.admits(Level::Info) {
+        let fields = [
+            ("request_id", Json::from(record.request_id)),
+            ("method", Json::from(record.method)),
+            ("route", Json::from(label)),
+            ("code", Json::from(u64::from(record.status))),
+            ("bytes_in", Json::from(record.bytes_in as u64)),
+            ("bytes_out", Json::from(record.bytes_out as u64)),
+            ("queue_ns", Json::from(record.queue_ns)),
+            ("total_ns", Json::from(record.total_ns)),
+            ("reused_connection", Json::from(record.reused)),
+        ];
+        let details = record.details.iter().map(|(k, v)| (*k, v.to_json()));
+        ctx.log.write(
+            Level::Info,
+            "http_request",
+            fields.into_iter().chain(details),
+        );
     }
-    span.finish();
 
-    let mut event = ctx
-        .log
-        .event(Level::Info, "http_request")
-        .field("request_id", record.request_id)
-        .field("method", record.method)
-        .field("route", label)
-        .field("code", u64::from(response.status))
-        .field("bytes_in", record.bytes_in as u64)
-        .field("bytes_out", response.body.len() as u64)
-        .field("queue_ns", record.queue_ns)
-        .field("total_ns", total_ns)
-        .field("reused_connection", record.reused);
-    for (key, value) in &response.trace_args {
-        event = event.field(key, value.to_json());
-    }
-    event.emit();
-
+    let id_arg = || ("request_id", ArgValue::from(record.request_id));
     if ctx.flight.is_enabled() {
-        let id_arg = || ("request_id", record.request_id.into());
-        let mut handler_args: Vec<(&'static str, whart_trace::ArgValue)> = vec![id_arg()];
-        handler_args.extend(response.trace_args.iter().cloned());
-        let write_ns = total_ns.saturating_sub(record.handler_ns);
+        let mut handler_args = vec![id_arg()];
+        handler_args.extend(record.details.iter().cloned());
+        let write_ns = record.total_ns.saturating_sub(record.handler_ns);
+        let stage = |name: &str, ts_ns: u64, dur_ns: u64, args| TraceEvent {
+            name: name.into(),
+            cat: "http",
+            ph: Phase::Complete { dur_ns },
+            ts_ns,
+            tid: 0,
+            args,
+        };
         ctx.flight.record(FlightEntry {
             id: record.request_id.to_owned(),
             method: record.method.to_owned(),
             route: label.to_owned(),
-            status: response.status,
+            status: record.status,
             started_unix_ms: record.started_unix_ms,
             queue_ns: record.queue_ns,
-            total_ns,
+            total_ns: record.total_ns,
             reused_connection: record.reused,
             events: vec![
-                TraceEvent {
-                    name: "queue_wait".into(),
-                    cat: "http",
-                    ph: Phase::Complete {
-                        dur_ns: record.queue_ns,
-                    },
-                    ts_ns: 0,
-                    tid: 0,
-                    args: vec![id_arg()],
-                },
-                TraceEvent {
-                    name: "handler".into(),
-                    cat: "http",
-                    ph: Phase::Complete {
-                        dur_ns: record.handler_ns,
-                    },
-                    ts_ns: record.queue_ns,
-                    tid: 0,
-                    args: handler_args,
-                },
-                TraceEvent {
-                    name: "write".into(),
-                    cat: "http",
-                    ph: Phase::Complete { dur_ns: write_ns },
-                    ts_ns: record.queue_ns + record.handler_ns,
-                    tid: 0,
-                    args: vec![id_arg()],
-                },
+                stage("queue_wait", 0, record.queue_ns, vec![id_arg()]),
+                stage("handler", record.queue_ns, record.handler_ns, handler_args),
+                stage(
+                    "write",
+                    record.queue_ns + record.handler_ns,
+                    write_ns,
+                    vec![id_arg()],
+                ),
             ],
         });
     }
 
+    if span.is_recording() {
+        span.arg("request_id", record.request_id);
+        span.arg("route", label);
+        span.arg("code", u64::from(record.status));
+        for (key, value) in record.details {
+            span.arg(key, value);
+        }
+    }
+    span.finish();
     // Workers are long-lived, so publish this thread's buffered events
-    // now: a `GET /v1/trace` drain (or a log tail) from another worker
-    // must observe every request that already completed.
-    ctx.trace.flush();
-    ctx.log.flush();
+    // now: a `GET /v1/trace` drain from another worker must observe
+    // every request that already completed.
+    ctx.instruments.trace.flush();
+}
+
+/// Opens the `http_request` span of a request starting now.
+fn request_span(ctx: &Ctx) -> Span {
+    ctx.instruments
+        .span_with(SpanNames::event("http", "http_request"))
 }
 
 /// Writes a protocol-error response (the connection closes after it).
 /// No request was parsed, so the error gets a fresh correlation id.
 fn answer_error(ctx: &Ctx, conn: &mut Conn, label: &'static str, response: Response) {
+    let span = request_span(ctx);
     let started = Instant::now();
     let started_unix_ms = unix_ms();
     let request_id = next_request_id();
-    let response = response.with_header("X-Request-Id", request_id.clone());
+    let mut response = response.with_header("X-Request-Id", request_id.clone());
     let _ = conn.write_response(&response, false, false, ctx.write_timeout);
-    instrument(
-        ctx,
-        &RequestRecord {
-            label,
-            request_id: &request_id,
-            method: "-",
-            started_unix_ms,
-            queue_ns: 0,
-            handler_ns: 0,
-            reused: conn.served > 0,
-            bytes_in: 0,
-        },
-        &response,
-        started,
-    );
+    let record = RequestRecord {
+        label,
+        request_id: &request_id,
+        method: "-",
+        status: response.status,
+        started_unix_ms,
+        queue_ns: 0,
+        handler_ns: 0,
+        total_ns: elapsed_ns(started),
+        reused: conn.served > 0,
+        bytes_in: 0,
+        bytes_out: response.body.len(),
+        details: std::mem::take(&mut response.trace_args),
+    };
+    instrument(ctx, record, span);
 }
 
 /// Serves requests on one connection until it closes, errors, or goes
@@ -772,7 +792,8 @@ fn serve_conn(ctx: &Ctx, conn: &mut Conn, mut queue_ns: u64) -> Disposition {
         };
         let reused = conn.served > 0;
         if reused {
-            ctx.metrics
+            ctx.instruments
+                .metrics
                 .counter("http.keepalive.reuses_total")
                 .increment();
         }
@@ -787,8 +808,9 @@ fn serve_conn(ctx: &Ctx, conn: &mut Conn, mut queue_ns: u64) -> Disposition {
         let request_id = effective_request_id(&mut request);
 
         let flight = ctx.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        let gauge = ctx.metrics.gauge("http.in_flight");
+        let gauge = ctx.instruments.metrics.gauge("http.in_flight");
         gauge.set(flight);
+        let span = request_span(ctx);
         let started = Instant::now();
         let started_unix_ms = unix_ms();
         let (label, mut response) = match builtin(ctx, &request.method, &request.path) {
@@ -805,21 +827,21 @@ fn serve_conn(ctx: &Ctx, conn: &mut Conn, mut queue_ns: u64) -> Disposition {
         let wrote = conn
             .write_response(&response, keep_alive, allow_chunked, ctx.write_timeout)
             .is_ok();
-        instrument(
-            ctx,
-            &RequestRecord {
-                label,
-                request_id: &request_id,
-                method: &request.method,
-                started_unix_ms,
-                queue_ns,
-                handler_ns,
-                reused,
-                bytes_in: request.body.len(),
-            },
-            &response,
-            started,
-        );
+        let record = RequestRecord {
+            label,
+            request_id: &request_id,
+            method: &request.method,
+            status: response.status,
+            started_unix_ms,
+            queue_ns,
+            handler_ns,
+            total_ns: elapsed_ns(started),
+            reused,
+            bytes_in: request.body.len(),
+            bytes_out: response.body.len(),
+            details: std::mem::take(&mut response.trace_args),
+        };
+        instrument(ctx, record, span);
         // Queue wait belongs to the request that was actually waiting;
         // pipelined follow-ups on the same dispatch never queued.
         queue_ns = 0;
@@ -860,6 +882,8 @@ mod tests {
         (status, body)
     }
 
+    use whart_obs::Metrics;
+
     fn start(router: Router) -> (SocketAddr, Flag, Flag, Metrics, std::thread::JoinHandle<()>) {
         let config = ServerConfig {
             threads: 2,
@@ -868,7 +892,10 @@ mod tests {
         let mut server = Server::bind(&config).unwrap();
         server.set_router(router);
         let metrics = Metrics::new();
-        server.set_metrics(metrics.clone());
+        server.set_instruments(Instruments {
+            metrics: metrics.clone(),
+            ..Instruments::default()
+        });
         let addr = server.local_addr().unwrap();
         let ready = server.ready();
         let shutdown = server.shutdown();

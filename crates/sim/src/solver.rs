@@ -23,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use whart_model::ir::trace_hops;
 use whart_model::{MeasurePlan, PathEvaluation, PathProblem, Result, SolveContext, Solver};
+use whart_trace::SpanNames;
 
 /// Seed-mixing constant (the golden-ratio increment used throughout the
 /// workspace's parallel seeding).
@@ -126,8 +127,12 @@ impl Solver for MonteCarloSolver {
         ctx: &SolveContext<'_>,
     ) -> Result<PathEvaluation> {
         let seed = self.path_seed(ctx.index);
-        let mut span = ctx.trace.span("path_solve", "solver.sim");
-        let timer = ctx.metrics.timer("solver.sim.solve_ns");
+        let mut span = ctx.instruments.span_with(
+            SpanNames::event("solver.sim", "path_solve")
+                .with_frame("solver.sim")
+                .with_histogram("solver.sim.solve_ns"),
+        );
+        let metrics = &ctx.instruments.metrics;
         let cycles = problem.interval().cycles() as usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut deliveries = vec![0u64; cycles];
@@ -148,14 +153,13 @@ impl Solver for MonteCarloSolver {
             discards as f64 / reps,
             attempts as f64 / reps,
         );
-        timer.stop();
         // One Bernoulli draw per attempted transmission.
-        ctx.metrics.counter("solver.sim.draws").add(attempts);
-        ctx.metrics
+        metrics.counter("solver.sim.draws").add(attempts);
+        metrics
             .counter("solver.sim.replications")
             .add(self.intervals);
         if span.is_recording() {
-            trace_hops(problem, "solver.sim", ctx.trace);
+            trace_hops(problem, "solver.sim", &ctx.instruments.trace);
             span.arg("seed", seed);
             span.arg("replications", self.intervals);
             span.arg(
@@ -235,8 +239,7 @@ mod tests {
         use whart_channel::LinkModel;
         use whart_model::{solve_network_with, NetworkModel};
         use whart_net::typical::TypicalNetwork;
-        use whart_obs::Metrics;
-        use whart_trace::Trace;
+        use whart_trace::{Instruments, Trace};
 
         let net = TypicalNetwork::new(LinkModel::from_availability(0.83, 0.9).unwrap());
         let problem =
@@ -246,15 +249,13 @@ mod tests {
                 .unwrap();
         let solver = MonteCarloSolver::new(7, 5_000);
         let plain = solver.solve_network(&problem, MeasurePlan::SCALAR).unwrap();
-        let trace = Trace::new();
-        let traced = solve_network_with(
-            &solver,
-            &problem,
-            MeasurePlan::SCALAR,
-            &Metrics::disabled(),
-            &trace,
-        )
-        .unwrap();
+        let instruments = Instruments {
+            trace: Trace::new(),
+            ..Instruments::default()
+        };
+        let trace = &instruments.trace;
+        let traced =
+            solve_network_with(&solver, &problem, MeasurePlan::SCALAR, &instruments).unwrap();
         assert_eq!(plain.reports().len(), traced.reports().len());
         for (a, b) in plain.reports().iter().zip(traced.reports()) {
             assert_eq!(a.evaluation, b.evaluation, "{}", a.path);

@@ -22,9 +22,9 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use whart_prof::Profiler;
 use whart_stress::report;
-use whart_stress::{run_with_profiler, StressConfig, StressOutcome};
+use whart_stress::{run_instrumented, StressConfig, StressOutcome};
+use whart_trace::{Instruments, Profiler};
 
 const USAGE: &str = "usage: whart-stress --addr HOST:PORT [--endpoint /v1/analyze] \
 [--method POST] [--body-file FILE] [--rate R] [--duration SECONDS] \
@@ -142,23 +142,26 @@ fn run_cli(args: &[String]) -> Result<bool, String> {
     // Self-profiling covers the whole invocation (warmup, main run and
     // the --compare-close ceilings) so the written profile attributes
     // every worker's time across all the passes.
-    let profiler = match profile_path {
-        Some(_) => Profiler::new(),
-        None => Profiler::disabled(),
+    let instruments = Instruments {
+        profiler: match profile_path {
+            Some(_) => Profiler::new(),
+            None => Profiler::disabled(),
+        },
+        ..Instruments::default()
     };
-    let capture = profiler.start_capture(whart_prof::DEFAULT_HZ);
+    let capture = instruments.profiler.start_capture(whart_trace::DEFAULT_HZ);
 
     if let Some(warmup) = warmup {
         // Untimed closed-loop pass: fills caches and gets past the
         // first-request JIT-like costs (allocator warm-up, page faults).
         eprintln!("warming up for {:.1}s ...", warmup.as_secs_f64());
-        run_with_profiler(
+        run_instrumented(
             &StressConfig {
                 rate: None,
                 duration: warmup,
                 ..config.clone()
             },
-            &profiler,
+            &instruments,
         )?;
     }
 
@@ -172,7 +175,7 @@ fn run_cli(args: &[String]) -> Result<bool, String> {
         config.duration.as_secs_f64(),
         config.connections,
     );
-    let main_outcome = run_with_profiler(&config, &profiler)?;
+    let main_outcome = run_instrumented(&config, &instruments)?;
     let id = report::row_id(&config.endpoint, config.keep_alive, config.rate);
     report_request_ids(&id, &main_outcome);
     lines.push_str(&report::stat_line(&id, &main_outcome));
@@ -182,14 +185,14 @@ fn run_cli(args: &[String]) -> Result<bool, String> {
         // Short closed-loop ceiling runs in both connection modes; the
         // ratio of their throughputs is the keep-alive speedup row.
         let ceiling = |keep_alive: bool| {
-            run_with_profiler(
+            run_instrumented(
                 &StressConfig {
                     rate: None,
                     duration: Duration::from_secs(3),
                     keep_alive,
                     ..config.clone()
                 },
-                &profiler,
+                &instruments,
             )
         };
         eprintln!("comparing keep-alive vs Connection: close at max rate ...");

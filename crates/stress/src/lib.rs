@@ -17,9 +17,9 @@
 //! outcomes into `BENCH_serve.json` lines and gates them against a
 //! committed baseline, mirroring `bench-engine --check`.
 //!
-//! The generator is itself instrumented with `whart-prof` activity
-//! frames (`stress.open_loop` / `stress.closed_loop` on named
-//! `whart-stress-{i}` worker threads): [`run_with_profiler`] under a
+//! The generator is itself instrumented with profiler activity frames
+//! (`stress.open_loop` / `stress.closed_loop` on named
+//! `whart-stress-{i}` worker threads): [`run_instrumented`] under a
 //! live capture shows where the *client* spends its time, which is how
 //! you prove a disappointing throughput number is the server's fault
 //! and not the harness saturating first.
@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use whart_obs::{HistogramSnapshot, Metrics};
-use whart_prof::Profiler;
+use whart_trace::{Instruments, SpanNames};
 
 use crate::client::{HttpClient, HttpResponse};
 
@@ -168,22 +168,22 @@ const LATENCY_HISTOGRAM: &str = "stress.latency_ns";
 /// wrong or the server is down, and deserves a hard error rather than a
 /// 100% error-rate report.
 pub fn run(config: &StressConfig) -> Result<StressOutcome, String> {
-    run_with_profiler(config, &Profiler::disabled())
+    run_instrumented(config, &Instruments::default())
 }
 
-/// [`run`], with the generator's own hot loops published to `profiler`
-/// as activity frames. Each worker thread is named `whart-stress-{i}`
-/// and spends its life inside a `stress.open_loop` or
-/// `stress.closed_loop` frame, so a capture taken during the run
-/// attributes every sampled tick to the generation mode that burned it.
-/// With a disabled profiler this is exactly [`run`].
+/// [`run`], with the generator's own hot loops published to the
+/// instruments' profiler as activity frames. Each worker thread is
+/// named `whart-stress-{i}` and spends its life inside a
+/// `stress.open_loop` or `stress.closed_loop` frame, so a capture taken
+/// during the run attributes every sampled tick to the generation mode
+/// that burned it. With disabled instruments this is exactly [`run`].
 ///
 /// # Errors
 ///
 /// Same as [`run`].
-pub fn run_with_profiler(
+pub fn run_instrumented(
     config: &StressConfig,
-    profiler: &Profiler,
+    instruments: &Instruments,
 ) -> Result<StressOutcome, String> {
     if config.connections == 0 {
         return Err("connections must be at least 1".to_string());
@@ -204,22 +204,20 @@ pub fn run_with_profiler(
         slowest_ns: AtomicU64::new(0),
         notes: Mutex::new(Notes::default()),
     });
-    // Interned once, outside the workers: Frame is Copy and enter() on
-    // the hot path is lock-free.
-    let mode_frame = match config.rate {
-        Some(_) => profiler.frame("stress.open_loop"),
-        None => profiler.frame("stress.closed_loop"),
-    };
+    let mode = SpanNames::frame(match config.rate {
+        Some(_) => "stress.open_loop",
+        None => "stress.closed_loop",
+    });
     let start = Instant::now();
     let workers: Vec<_> = (0..config.connections)
         .map(|worker| {
             let config = config.clone();
             let counters = Arc::clone(&counters);
-            let profiler = profiler.clone();
+            let instruments = instruments.clone();
             std::thread::Builder::new()
                 .name(format!("whart-stress-{worker}"))
                 .spawn(move || {
-                    let _mode = profiler.enter(mode_frame);
+                    let _mode = instruments.span_with(mode);
                     match config.rate {
                         Some(rate) => open_loop_worker(&config, rate, worker, start, &counters),
                         None => closed_loop_worker(&config, start, &counters),
@@ -375,6 +373,7 @@ fn closed_loop_worker(config: &StressConfig, start: Instant, counters: &Counters
 #[cfg(test)]
 mod tests {
     use super::*;
+    use whart_trace::Profiler;
 
     fn response(status: u16, request_id: Option<&str>) -> HttpResponse {
         HttpResponse {
@@ -467,8 +466,14 @@ mod tests {
             }
         });
 
-        let profiler = Profiler::new();
-        let capture = profiler.start_capture(4000).expect("enabled profiler");
+        let instruments = Instruments {
+            profiler: Profiler::new(),
+            ..Instruments::default()
+        };
+        let capture = instruments
+            .profiler
+            .start_capture(4000)
+            .expect("enabled profiler");
         let config = StressConfig {
             addr,
             endpoint: "/x".to_string(),
@@ -480,7 +485,7 @@ mod tests {
             keep_alive: true,
             pipeline: 1,
         };
-        let outcome = run_with_profiler(&config, &profiler).unwrap();
+        let outcome = run_instrumented(&config, &instruments).unwrap();
         let profile = capture.stop();
         server.join().unwrap();
 

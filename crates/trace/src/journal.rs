@@ -1,0 +1,565 @@
+//! The structured event journal: typed spans and provenance instants,
+//! buffered per thread and drained to JSONL or Chrome `trace_event`
+//! JSON.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Weak};
+use std::time::Instant;
+
+use crate::event::{ArgValue, Phase, TraceEvent, TraceLog};
+use crate::local::{self, Local};
+
+/// Thread-local buffer length at which a chunk is flushed to the shared
+/// sink.
+pub const FLUSH_CHUNK: usize = 256;
+
+/// Default journal capacity (events admitted between drains).
+pub const DEFAULT_CAPACITY: usize = 1 << 20;
+
+/// The journal behind an enabled [`Trace`] handle.
+pub(crate) struct Shared {
+    id: u64,
+    start: Instant,
+    capacity: usize,
+    /// Events admitted (stored somewhere: local buffers or the sink).
+    admitted: AtomicUsize,
+    /// Events refused by the capacity bound.
+    dropped: AtomicU64,
+    /// Next journal-assigned thread id.
+    next_tid: AtomicU64,
+    /// Flushed events awaiting a drain.
+    sink: Mutex<Vec<TraceEvent>>,
+    /// Fast-path flag: whether [`Shared::context`] holds anything.
+    context_set: AtomicBool,
+    /// Ambient arguments stamped on every event created while a
+    /// [`ContextGuard`] is in scope (e.g. the request id a service
+    /// attaches around an engine drain, so solver spans on pool worker
+    /// threads carry it too).
+    context: Mutex<Vec<(&'static str, ArgValue)>>,
+}
+
+impl Shared {
+    /// Nanoseconds from the journal's creation to `at`.
+    fn ns_at(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.start).as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// The current ambient context arguments (cheap when none are set:
+    /// one atomic load, no lock).
+    fn context_args(&self) -> Vec<(&'static str, ArgValue)> {
+        if self.context_set.load(Ordering::Acquire) {
+            self.context.lock().expect("trace context").clone()
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+/// One thread's pending chunk for one journal.
+pub(crate) struct Buffer {
+    shared: Weak<Shared>,
+    tid: u64,
+    events: Vec<TraceEvent>,
+}
+
+impl Buffer {
+    pub(crate) fn orphaned(&self) -> bool {
+        self.shared.strong_count() == 0
+    }
+
+    fn flush(&mut self) {
+        if self.events.is_empty() {
+            return;
+        }
+        match self.shared.upgrade() {
+            Some(shared) => shared
+                .sink
+                .lock()
+                .expect("trace sink")
+                .append(&mut self.events),
+            None => self.events.clear(),
+        }
+    }
+}
+
+impl Drop for Buffer {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// Admits `event` against the capacity bound and pushes it into this
+/// thread's buffer, assigning the thread its journal tid on first
+/// contact.
+fn emit(shared: &Arc<Shared>, event: TraceEvent) {
+    let admitted = shared.admitted.fetch_add(1, Ordering::Relaxed);
+    if admitted >= shared.capacity {
+        shared.admitted.fetch_sub(1, Ordering::Relaxed);
+        shared.dropped.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    let mut slot = Some(event);
+    let init = || {
+        Local::Journal(Buffer {
+            shared: Arc::downgrade(shared),
+            tid: shared.next_tid.fetch_add(1, Ordering::Relaxed),
+            events: Vec::with_capacity(FLUSH_CHUNK),
+        })
+    };
+    local::with(shared.id, init, |state| {
+        let Local::Journal(buffer) = state else {
+            unreachable!("sink ids are unique")
+        };
+        let mut event = slot.take().expect("event emitted once");
+        event.tid = buffer.tid;
+        buffer.events.push(event);
+        if buffer.events.len() >= FLUSH_CHUNK {
+            buffer.flush();
+        }
+    });
+    if let Some(event) = slot {
+        // Thread-local storage is tearing down (thread exit): bypass the
+        // buffer and flush straight to the sink.
+        shared.sink.lock().expect("trace sink").push(event);
+    }
+}
+
+/// A cloneable handle to a structured event journal, or a no-op
+/// stand-in.
+///
+/// Cloning shares the journal: events emitted through any clone (on any
+/// thread) land in the same drain. The default handle is disabled.
+#[derive(Clone, Default)]
+pub struct Trace {
+    shared: Option<Arc<Shared>>,
+}
+
+impl Trace {
+    /// A fresh, enabled journal with the default capacity.
+    pub fn new() -> Trace {
+        Trace::with_capacity(DEFAULT_CAPACITY)
+    }
+
+    /// A fresh, enabled journal admitting at most `capacity` events
+    /// between drains (clamped to at least one); the overflow is counted
+    /// in [`TraceLog::dropped`].
+    pub fn with_capacity(capacity: usize) -> Trace {
+        Trace {
+            shared: Some(Arc::new(Shared {
+                id: local::next_id(),
+                start: Instant::now(),
+                capacity: capacity.max(1),
+                admitted: AtomicUsize::new(0),
+                dropped: AtomicU64::new(0),
+                next_tid: AtomicU64::new(0),
+                sink: Mutex::new(Vec::new()),
+                context_set: AtomicBool::new(false),
+                context: Mutex::new(Vec::new()),
+            })),
+        }
+    }
+
+    /// The no-op handle: every event site resolved through it records
+    /// nothing and costs one branch.
+    pub fn disabled() -> Trace {
+        Trace { shared: None }
+    }
+
+    /// Whether this handle records anything.
+    pub fn is_enabled(&self) -> bool {
+        self.shared.is_some()
+    }
+
+    /// Nanoseconds since the journal was created (0 when disabled; the
+    /// clock is not read).
+    pub fn now_ns(&self) -> u64 {
+        self.shared.as_ref().map_or(0, |s| s.ns_at(Instant::now()))
+    }
+
+    /// Opens the journal half of a span that started at `start`; `None`
+    /// on a disabled handle (the name is not materialized).
+    pub(crate) fn open(
+        &self,
+        name: &'static str,
+        cat: &'static str,
+        start: Instant,
+    ) -> Option<OpenEvent> {
+        self.shared.as_ref().map(|shared| OpenEvent {
+            shared: Arc::clone(shared),
+            name,
+            cat,
+            start,
+            args: shared.context_args(),
+        })
+    }
+
+    /// Installs ambient context arguments stamped on every span and
+    /// instant created — on any thread — until the returned guard
+    /// drops. The canonical use is request correlation: a service sets
+    /// `request_id` around an engine drain so every engine and solver
+    /// span it produces (including those on pool worker threads)
+    /// carries the id without threading it through the solver APIs.
+    ///
+    /// Scopes restore the previously installed context when they drop,
+    /// so nesting is safe; overlapping scopes from *concurrent* threads
+    /// are not distinguished — callers serialize scoped work (as the
+    /// serve layer does around its engine lock). No-op on disabled
+    /// handles; when no scope is active the per-event cost is one
+    /// atomic load.
+    pub fn context_scope<I>(&self, args: I) -> ContextGuard
+    where
+        I: IntoIterator<Item = (&'static str, ArgValue)>,
+    {
+        match &self.shared {
+            None => ContextGuard {
+                shared: None,
+                previous: Vec::new(),
+            },
+            Some(shared) => {
+                let mut context = shared.context.lock().expect("trace context");
+                let previous = std::mem::replace(&mut *context, args.into_iter().collect());
+                shared
+                    .context_set
+                    .store(!context.is_empty(), Ordering::Release);
+                ContextGuard {
+                    shared: Some(Arc::clone(shared)),
+                    previous,
+                }
+            }
+        }
+    }
+
+    /// Records an instant provenance event. On a disabled handle the
+    /// name is not materialized and `args` is not consumed.
+    ///
+    /// Hot loops should guard the whole call with
+    /// [`Trace::is_enabled`] so argument values are not even computed —
+    /// that guard is the "one branch per event site" the disabled mode
+    /// promises.
+    pub fn instant<I>(&self, name: impl Into<String>, cat: &'static str, args: I)
+    where
+        I: IntoIterator<Item = (&'static str, ArgValue)>,
+    {
+        if let Some(shared) = &self.shared {
+            let mut all = shared.context_args();
+            all.extend(args);
+            let event = TraceEvent {
+                name: name.into(),
+                cat,
+                ph: Phase::Instant,
+                ts_ns: shared.ns_at(Instant::now()),
+                tid: 0,
+                args: all,
+            };
+            emit(shared, event);
+        }
+    }
+
+    /// Events refused so far by the capacity bound.
+    pub fn dropped(&self) -> u64 {
+        self.shared
+            .as_ref()
+            .map_or(0, |s| s.dropped.load(Ordering::Relaxed))
+    }
+
+    /// Flushes the calling thread's pending chunk to the shared sink.
+    ///
+    /// Long-lived threads (e.g. `whart serve` HTTP workers) call this at
+    /// a natural publication point — after finishing a request — so a
+    /// [`Trace::drain`] from *another* thread observes their completed
+    /// events without waiting for a [`FLUSH_CHUNK`] boundary or thread
+    /// exit. No-op on disabled handles and when nothing is pending.
+    pub fn flush(&self) {
+        if let Some(shared) = &self.shared {
+            local::with_registered(shared.id, |state| {
+                if let Local::Journal(buffer) = state {
+                    buffer.flush();
+                }
+            });
+        }
+    }
+
+    /// Drains the journal: the calling thread's pending chunk is flushed
+    /// first, then every event flushed so far is taken (sorted by
+    /// timestamp) and the capacity budget is released for them.
+    ///
+    /// Events still buffered on *other* live threads appear in a later
+    /// drain (threads flush every [`FLUSH_CHUNK`] events, on
+    /// [`Trace::flush`], and when they exit); the workspace drains after
+    /// worker pools have joined, so a post-run drain is complete.
+    /// Disabled handles drain empty.
+    pub fn drain(&self) -> TraceLog {
+        let Some(shared) = &self.shared else {
+            return TraceLog::default();
+        };
+        self.flush();
+        let mut events = std::mem::take(&mut *shared.sink.lock().expect("trace sink"));
+        shared.admitted.fetch_sub(events.len(), Ordering::Relaxed);
+        events.sort_by_key(|a| (a.ts_ns, a.tid));
+        TraceLog {
+            events,
+            dropped: shared.dropped.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl std::fmt::Debug for Trace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Trace")
+            .field("enabled", &self.is_enabled())
+            .finish()
+    }
+}
+
+/// Guard for [`Trace::context_scope`]: restores the previously
+/// installed ambient context when dropped.
+pub struct ContextGuard {
+    shared: Option<Arc<Shared>>,
+    previous: Vec<(&'static str, ArgValue)>,
+}
+
+impl Drop for ContextGuard {
+    fn drop(&mut self) {
+        if let Some(shared) = &self.shared {
+            let mut context = shared.context.lock().expect("trace context");
+            *context = std::mem::take(&mut self.previous);
+            shared
+                .context_set
+                .store(!context.is_empty(), Ordering::Release);
+        }
+    }
+}
+
+/// The journal half of an open span: emitted as one
+/// [`Phase::Complete`] event when the span closes.
+pub(crate) struct OpenEvent {
+    shared: Arc<Shared>,
+    name: &'static str,
+    cat: &'static str,
+    start: Instant,
+    pub(crate) args: Vec<(&'static str, ArgValue)>,
+}
+
+impl OpenEvent {
+    /// Emits the span's event, `dur_ns` long.
+    pub(crate) fn close(self, dur_ns: u64) {
+        let event = TraceEvent {
+            name: self.name.to_owned(),
+            cat: self.cat,
+            ph: Phase::Complete { dur_ns },
+            ts_ns: self.shared.ns_at(self.start),
+            tid: 0,
+            args: self.args,
+        };
+        emit(&self.shared, event);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Instruments, SpanNames};
+
+    /// A span feeding `trace` alone.
+    fn span(trace: &Trace, name: &'static str, cat: &'static str) -> crate::Span {
+        Instruments {
+            trace: trace.clone(),
+            ..Instruments::default()
+        }
+        .span_with(SpanNames::event(cat, name))
+    }
+
+    #[test]
+    fn disabled_handles_record_nothing() {
+        let trace = Trace::disabled();
+        assert!(!trace.is_enabled());
+        assert_eq!(trace.now_ns(), 0);
+        let mut span = span(&trace, "s", "t");
+        assert!(!span.is_recording());
+        span.arg("k", 1u64);
+        drop(span);
+        trace.instant("i", "t", [("k", 1u64.into())]);
+        assert!(trace.drain().is_empty());
+        assert_eq!(trace.dropped(), 0);
+        assert!(!Trace::default().is_enabled());
+    }
+
+    #[test]
+    fn spans_and_instants_drain_in_timestamp_order() {
+        let trace = Trace::new();
+        {
+            let mut outer = span(&trace, "outer", "test");
+            outer.arg("k", "v");
+            trace.instant("inside", "test", [("n", 3u64.into())]);
+        }
+        let log = trace.drain();
+        assert_eq!(log.len(), 2);
+        // The instant starts after the span but drains after it too:
+        // span events are stamped at their start.
+        assert_eq!(log.events[0].name, "outer");
+        assert_eq!(log.events[1].name, "inside");
+        assert!(log.events[0].ts_ns <= log.events[1].ts_ns);
+        assert_eq!(log.events[0].arg("k").and_then(ArgValue::as_str), Some("v"));
+        // Drains consume: a second drain is empty.
+        assert!(trace.drain().is_empty());
+    }
+
+    #[test]
+    fn events_accumulate_across_threads_with_distinct_tids() {
+        let trace = Trace::new();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|worker| {
+                    let trace = trace.clone();
+                    scope.spawn(move || {
+                        for i in 0..10 {
+                            trace.instant(format!("w{worker}"), "test", [("i", (i as u64).into())]);
+                        }
+                    })
+                })
+                .collect();
+            // Join explicitly: the scope's implicit join can return
+            // before a worker's thread-local buffer flushes on exit.
+            for worker in workers {
+                worker.join().unwrap();
+            }
+        });
+        let log = trace.drain();
+        assert_eq!(log.len(), 40, "threads flush on exit");
+        let tids: std::collections::BTreeSet<u64> = log.events.iter().map(|e| e.tid).collect();
+        assert_eq!(tids.len(), 4, "one journal tid per emitting thread");
+    }
+
+    #[test]
+    fn capacity_bounds_the_journal_and_counts_drops() {
+        let trace = Trace::with_capacity(5);
+        for i in 0..12u64 {
+            trace.instant("e", "test", [("i", i.into())]);
+        }
+        let log = trace.drain();
+        assert_eq!(log.len(), 5);
+        assert_eq!(log.dropped, 7);
+        assert_eq!(trace.dropped(), 7);
+        // Draining releases the budget: the journal admits again.
+        trace.instant("after", "test", []);
+        assert_eq!(trace.drain().len(), 1);
+        let text = trace.drain().to_jsonl();
+        assert!(text.contains("trace.dropped"), "{text}");
+    }
+
+    #[test]
+    fn chunked_flushing_reaches_the_sink_mid_thread() {
+        let trace = Trace::new();
+        for _ in 0..(FLUSH_CHUNK + 3) {
+            trace.instant("e", "test", []);
+        }
+        // The first FLUSH_CHUNK events flushed; the rest are drained from
+        // this thread's live buffer.
+        let log = trace.drain();
+        assert_eq!(log.len(), FLUSH_CHUNK + 3);
+    }
+
+    #[test]
+    fn flush_publishes_a_live_threads_events_to_another_threads_drain() {
+        let trace = Trace::new();
+        let worker = trace.clone();
+        let (flushed_tx, flushed_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let handle = std::thread::spawn(move || {
+            worker.instant("from-worker", "test", []);
+            worker.flush();
+            flushed_tx.send(()).unwrap();
+            // Stay alive through the drain: visibility must come from the
+            // explicit flush, not from thread-exit teardown.
+            done_rx.recv().unwrap();
+        });
+        flushed_rx.recv().unwrap();
+        let log = trace.drain();
+        assert_eq!(log.len(), 1, "flushed event visible before thread exit");
+        assert_eq!(log.events[0].name, "from-worker");
+        done_tx.send(()).unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn clones_share_one_journal() {
+        let trace = Trace::new();
+        trace.clone().instant("a", "test", []);
+        trace.instant("b", "test", []);
+        assert_eq!(trace.drain().len(), 2);
+    }
+
+    #[test]
+    fn context_scope_stamps_events_on_every_thread() {
+        let trace = Trace::new();
+        {
+            let _scope = trace.context_scope([("request_id", "req-7".into())]);
+            let mut span = span(&trace, "drain", "engine");
+            span.arg("scenarios", 1u64);
+            drop(span);
+            std::thread::scope(|s| {
+                let worker = trace.clone();
+                // Join explicitly: the scope's implicit join can return
+                // before the worker's thread-local buffer flushes on exit.
+                s.spawn(move || worker.instant("hop", "solver.fast", [("slot", 3u64.into())]))
+                    .join()
+                    .unwrap();
+            });
+        }
+        // After the scope: no stamping.
+        trace.instant("outside", "test", []);
+        let log = trace.drain();
+        assert_eq!(log.len(), 3);
+        for name in ["drain", "hop"] {
+            let event = log.named(name).next().unwrap();
+            assert_eq!(
+                event.arg("request_id").and_then(ArgValue::as_str),
+                Some("req-7"),
+                "{name} missing the ambient request id"
+            );
+        }
+        let span = log.named("drain").next().unwrap();
+        assert_eq!(span.arg("scenarios").and_then(ArgValue::as_u64), Some(1));
+        assert!(log.named("outside").next().unwrap().args.is_empty());
+    }
+
+    #[test]
+    fn context_scopes_nest_and_restore() {
+        let trace = Trace::new();
+        let outer = trace.context_scope([("request_id", "outer".into())]);
+        {
+            let _inner = trace.context_scope([("request_id", "inner".into())]);
+            trace.instant("a", "test", []);
+        }
+        trace.instant("b", "test", []);
+        drop(outer);
+        trace.instant("c", "test", []);
+        let log = trace.drain();
+        let id_of = |name: &str| {
+            log.named(name)
+                .next()
+                .unwrap()
+                .arg("request_id")
+                .and_then(ArgValue::as_str)
+                .map(str::to_owned)
+        };
+        assert_eq!(id_of("a").as_deref(), Some("inner"));
+        assert_eq!(id_of("b").as_deref(), Some("outer"));
+        assert_eq!(id_of("c"), None);
+    }
+
+    #[test]
+    fn context_scope_on_a_disabled_handle_is_a_no_op() {
+        let trace = Trace::disabled();
+        let _scope = trace.context_scope([("request_id", "x".into())]);
+        trace.instant("e", "test", []);
+        assert!(trace.drain().is_empty());
+    }
+
+    #[test]
+    fn capacity_is_clamped_positive() {
+        let trace = Trace::with_capacity(0);
+        trace.instant("e", "test", []);
+        assert_eq!(trace.drain().len(), 1);
+    }
+}
